@@ -7,8 +7,8 @@
 // increasing epoch — the version number the serving layer folds into plan
 // cache keys. Compaction merges the overlay back into a fresh base CSR;
 // reads see the same graph before and after, so callers compact whenever
-// amortization favors it (MatchService compacts lazily on the first
-// snapshot request after an epoch change).
+// amortization favors it (MatchService::ApplyUpdates compacts after every
+// batch, so requests only ever pin a ready snapshot).
 //
 // Identity rules, chosen so incremental deltas and cold re-matching on a
 // snapshot agree *exactly*:

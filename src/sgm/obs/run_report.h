@@ -177,7 +177,7 @@ struct RunReport {
   uint64_t delta_retractions = 0;
   /// Candidate-bitset entries repaired by incremental maintenance.
   uint64_t candidates_repaired = 0;
-  /// Overlay→CSR merges performed (lazy, on first post-update request).
+  /// Overlay→CSR merges performed (by ApplyUpdates, after each batch).
   uint64_t graph_compactions = 0;
   /// Current delta-overlay heap footprint.
   uint64_t overlay_bytes = 0;

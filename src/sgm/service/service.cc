@@ -416,18 +416,8 @@ MatchResponse MatchService::Run(const MatchRequest& request, double queue_ms,
   return response;
 }
 
-MatchService::GraphView MatchService::CurrentView() {
-  std::lock_guard<std::mutex> lock(graph_mutex_);
-  if (snapshot_epoch_ != dynamic_.epoch()) {
-    // Lazy compaction: ApplyUpdates never merges the overlay, so the first
-    // request after a batch pays the CSR rebuild once and every later
-    // request shares the result.
-    dynamic_.Compact();
-    snapshot_ = dynamic_.SnapshotShared();
-    snapshot_epoch_ = dynamic_.epoch();
-    dynamic_stats_.compactions = dynamic_.compactions();
-    dynamic_stats_.overlay_bytes = dynamic_.OverlayMemoryBytes();
-  }
+MatchService::GraphView MatchService::CurrentView() const {
+  std::lock_guard<std::mutex> lock(snapshot_mutex_);
   return {snapshot_, snapshot_epoch_};
 }
 
@@ -442,23 +432,32 @@ UpdateReport MatchService::ApplyUpdates(const dynamic::UpdateBatch& batch) {
 
   std::string error;
   std::optional<dynamic::BatchResult> result;
+  double compact_ms = 0.0;
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
     result = continuous_.ApplyBatch(batch, &error);
     if (result.has_value()) {
-      dynamic_stats_.graph_epoch = result->epoch;
+      // The writer pays the merge, then publishes: requests only ever copy
+      // the snapshot pointer and never wait on graph_mutex_.
+      Timer compact_timer;
+      dynamic_.Compact();
+      compact_ms = compact_timer.ElapsedMillis();
+      std::shared_ptr<const Graph> published = dynamic_.SnapshotShared();
+      {
+        std::lock_guard<std::mutex> publish(snapshot_mutex_);
+        snapshot_.swap(published);
+        snapshot_epoch_ = result->epoch;
+      }
       ++dynamic_stats_.update_batches;
       dynamic_stats_.update_ops += result->ops_applied;
       dynamic_stats_.update_apply_ms += result->apply_ms;
       dynamic_stats_.delta_enumerate_ms += result->enumerate_ms;
+      dynamic_stats_.compact_ms += compact_ms;
       for (const dynamic::MatchDelta& delta : result->deltas) {
         dynamic_stats_.delta_additions += delta.additions;
         dynamic_stats_.delta_retractions += delta.retractions;
         dynamic_stats_.candidates_repaired += delta.candidates_repaired;
       }
-      dynamic_stats_.compactions = dynamic_.compactions();
-      dynamic_stats_.overlay_bytes = dynamic_.OverlayMemoryBytes();
-      dynamic_stats_.continuous_queries = continuous_.registration_count();
     }
   }
   if (!result.has_value()) {
@@ -483,6 +482,7 @@ UpdateReport MatchService::ApplyUpdates(const dynamic::UpdateBatch& batch) {
   report.ops_applied = result->ops_applied;
   report.apply_ms = result->apply_ms;
   report.enumerate_ms = result->enumerate_ms;
+  report.compact_ms = compact_ms;
   report.deltas = std::move(result->deltas);
   return report;
 }
@@ -496,21 +496,17 @@ uint64_t MatchService::RegisterContinuousQuery(Graph query,
     return 0;
   }
   std::lock_guard<std::mutex> lock(graph_mutex_);
-  const uint64_t id = continuous_.Register(std::move(query), error);
-  dynamic_stats_.continuous_queries = continuous_.registration_count();
-  return id;
+  return continuous_.Register(std::move(query), error);
 }
 
 bool MatchService::UnregisterContinuousQuery(uint64_t query_id) {
   std::lock_guard<std::mutex> lock(graph_mutex_);
-  const bool removed = continuous_.Unregister(query_id);
-  dynamic_stats_.continuous_queries = continuous_.registration_count();
-  return removed;
+  return continuous_.Unregister(query_id);
 }
 
 uint64_t MatchService::graph_epoch() const {
-  std::lock_guard<std::mutex> lock(graph_mutex_);
-  return dynamic_.epoch();
+  std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  return snapshot_epoch_;
 }
 
 ServiceDynamicStats MatchService::DynamicStats() const {

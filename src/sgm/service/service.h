@@ -25,9 +25,10 @@
 // batch lands atomically on a dynamic::DynamicGraph, bumps the graph
 // epoch (folded into every plan-cache key, so stale plans are
 // unreachable) and yields exact match deltas for registered continuous
-// queries. Requests pin an immutable snapshot at execution start —
-// in-flight enumeration never observes a mutation — and the first request
-// after a batch compacts the overlay lazily.
+// queries. The writer compacts the overlay and publishes the new snapshot
+// before ApplyUpdates returns; requests pin that immutable snapshot at
+// execution start with a pointer copy — in-flight enumeration never
+// observes a mutation, and no request waits on a writer.
 //
 // Cancellation is cooperative and uses MatchOptions::cancel_flag: the
 // serial engine checks the request's token every 1024 recursion calls.
@@ -170,6 +171,9 @@ struct UpdateReport {
   /// Overlay mutation + candidate repair vs anchored enumeration split.
   double apply_ms = 0.0;
   double enumerate_ms = 0.0;
+  /// Merging the overlay into the CSR snapshot that requests pin; the
+  /// writer pays it before the new snapshot is published.
+  double compact_ms = 0.0;
 };
 
 /// Cumulative dynamic-graph counters since service construction.
@@ -184,6 +188,7 @@ struct ServiceDynamicStats {
   size_t overlay_bytes = 0;
   double update_apply_ms = 0.0;
   double delta_enumerate_ms = 0.0;
+  double compact_ms = 0.0;
   uint64_t continuous_queries = 0;
 };
 
@@ -214,11 +219,11 @@ class MatchService {
   MatchService(const MatchService&) = delete;
   MatchService& operator=(const MatchService&) = delete;
 
-  /// The latest compacted snapshot of the data graph. Stable only while no
+  /// The latest published snapshot of the data graph. Stable only while no
   /// ApplyUpdates call races it — single-threaded test and report code
   /// only; request execution pins its own snapshot internally.
   const Graph& data() const {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
+    std::lock_guard<std::mutex> lock(snapshot_mutex_);
     return *snapshot_;
   }
   uint32_t worker_count() const { return static_cast<uint32_t>(workers_.size()); }
@@ -238,10 +243,12 @@ class MatchService {
   /// Applies one update batch atomically to the data graph, bumping its
   /// epoch (which re-keys the plan cache — subsequent requests cannot see
   /// a stale plan) and producing the exact match delta of every registered
-  /// continuous query. Requests already executing keep their pinned
-  /// pre-update snapshot; requests submitted afterwards see the new graph.
-  /// Sharded services reject updates (their shards are built once at
-  /// construction). Thread-safe; concurrent ApplyUpdates calls serialize.
+  /// continuous query. The caller pays the overlay compaction, then the
+  /// new snapshot is published: requests already executing keep their
+  /// pinned pre-update snapshot; requests that start after the call
+  /// returns see the new graph. Sharded services reject updates (their
+  /// shards are built once at construction). Thread-safe; concurrent
+  /// ApplyUpdates calls serialize.
   UpdateReport ApplyUpdates(const dynamic::UpdateBatch& batch);
 
   /// Registers a continuous query: every subsequent ApplyUpdates reports
@@ -251,7 +258,8 @@ class MatchService {
   /// Returns false when no such registration exists.
   bool UnregisterContinuousQuery(uint64_t query_id);
 
-  /// Current data-graph epoch (number of applied update batches).
+  /// Epoch of the published snapshot (number of applied update batches).
+  /// Never waits on a writer.
   uint64_t graph_epoch() const;
 
   ServiceStats Stats() const;
@@ -321,10 +329,9 @@ class MatchService {
   MatchResponse Run(const MatchRequest& request, double queue_ms,
                     const std::atomic<bool>* cancel_token,
                     const GraphView& view);
-  /// Pins the current snapshot, compacting the overlay first when updates
-  /// landed since the last pin (lazy: only the first request after a batch
-  /// pays the merge).
-  GraphView CurrentView();
+  /// Pins the published snapshot: a pointer copy under snapshot_mutex_,
+  /// never graph_mutex_, so a request never waits on a writer.
+  GraphView CurrentView() const;
   /// Appends a slow-query record when the response qualifies. `data` is
   /// the graph the request ran against.
   void MaybeLogSlowQuery(const MatchRequest& request,
@@ -337,17 +344,19 @@ class MatchService {
   double NowMs() const;
 
   const ServiceOptions options_;
-  /// The mutable data graph and its continuous queries, guarded by
-  /// graph_mutex_ together with snapshot_/snapshot_epoch_ and the
-  /// cumulative dynamic counters. Requests never touch dynamic_ directly —
-  /// they pin an immutable snapshot via CurrentView(), so enumeration runs
-  /// lock-free while updates land.
+  /// The mutable data graph, its continuous queries and the cumulative
+  /// dynamic counters, guarded by graph_mutex_. Only writers and stats
+  /// readers take it; requests never touch dynamic_.
   dynamic::DynamicGraph dynamic_;
   dynamic::ContinuousMatcher continuous_;
-  std::shared_ptr<const Graph> snapshot_;
-  uint64_t snapshot_epoch_ = 0;
   mutable std::mutex graph_mutex_;
   ServiceDynamicStats dynamic_stats_;
+  /// The compacted snapshot requests pin and its epoch. ApplyUpdates
+  /// replaces both under snapshot_mutex_ (held only for the swap, and taken
+  /// inside graph_mutex_ on the writer side); CurrentView() copies them.
+  std::shared_ptr<const Graph> snapshot_;
+  uint64_t snapshot_epoch_ = 0;
+  mutable std::mutex snapshot_mutex_;
   /// Built once at construction when options_.shards > 1; null otherwise.
   /// Points into *snapshot_, which sharded services never replace
   /// (ApplyUpdates rejects).

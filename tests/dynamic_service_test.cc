@@ -136,6 +136,42 @@ TEST(DynamicServiceTest, ContinuousQueryDeltasFlowThroughTheService) {
   EXPECT_EQ(stats.continuous_queries, 0u);
 }
 
+TEST(DynamicServiceTest, WriterCompactsAndRequestsNeverDo) {
+  obs::MetricsRegistry metrics;
+  service::MatchService service(PaperData(), LocalOptions(&metrics));
+  ASSERT_FALSE(service.data().HasEdge(0, 12));
+
+  // The writer compacts and publishes before ApplyUpdates returns: with no
+  // request issued yet, the snapshot already carries the new edge.
+  dynamic::UpdateBatch batch;
+  batch.ops.push_back(dynamic::UpdateOp::AddEdge(0, 12));
+  const service::UpdateReport report = service.ApplyUpdates(batch);
+  ASSERT_TRUE(report.applied) << report.error;
+  EXPECT_GT(report.compact_ms, 0.0);
+  service::ServiceDynamicStats stats = service.DynamicStats();
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_EQ(stats.compact_ms, report.compact_ms);
+  EXPECT_TRUE(service.data().HasEdge(0, 12));
+  EXPECT_EQ(service.graph_epoch(), 1u);
+
+  // Requests only pin the published snapshot.
+  for (int i = 0; i < 50; ++i) {
+    const service::MatchResponse response = service.Match(PaperRequest());
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+  }
+  EXPECT_EQ(service.DynamicStats().compactions, 1u);
+
+  // An empty batch is a version change with nothing to merge.
+  const service::UpdateReport empty = service.ApplyUpdates({});
+  ASSERT_TRUE(empty.applied) << empty.error;
+  EXPECT_EQ(empty.epoch, 2u);
+  stats = service.DynamicStats();
+  EXPECT_EQ(stats.graph_epoch, 2u);
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_EQ(service.graph_epoch(), 2u);
+  EXPECT_TRUE(service.data().HasEdge(0, 12));
+}
+
 TEST(DynamicServiceTest, ShardedServicesRejectUpdates) {
   obs::MetricsRegistry metrics;
   service::ServiceOptions options = LocalOptions(&metrics);
@@ -221,7 +257,7 @@ TEST(DynamicServiceTest, ServedReportsCarryTheDynamicSection) {
   EXPECT_EQ(report.update_ops, 1u);
   EXPECT_EQ(report.delta_retractions, 1u);
   EXPECT_EQ(report.continuous_queries, 1u);
-  // The request after the batch compacted the overlay lazily.
+  // ApplyUpdates compacted the overlay before it returned.
   EXPECT_EQ(report.graph_compactions, 1u);
 
   // The section survives the JSON round trip exactly.

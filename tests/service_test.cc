@@ -398,21 +398,22 @@ TEST(MatchServiceTest, AdmissionQueueBoundRejectsOverflow) {
 
 TEST(MatchServiceTest, ShutdownFailsQueuedRequestsAndStops) {
   auto service = std::make_unique<service::MatchService>(
-      PaperData(), service::ServiceOptions{.worker_count = 1});
-  auto hold = std::make_shared<std::atomic<bool>>(false);
-  service::MatchRequest holder = PaperRequest();
-  holder.cancel = hold;
-  auto holder_future = service->Submit(std::move(holder));
-  auto queued_future = service->Submit(PaperRequest());
+      CompleteGraph(32), service::ServiceOptions{.worker_count = 1});
+  // The blocker runs until Shutdown cancels it, so the second request is
+  // still queued when Shutdown runs — whether or not the worker has
+  // dequeued the blocker yet.
+  auto holder_future = service->Submit(
+      BlockerRequest(std::make_shared<std::atomic<bool>>(false)));
+  service::MatchRequest queued;
+  queued.query = PathQuery(2);
+  auto queued_future = service->Submit(std::move(queued));
 
   service->Shutdown();
   const service::MatchResponse holder_response = holder_future.get();
   const service::MatchResponse queued_response = queued_future.get();
-  // The holder either finished before the shutdown flag reached it or was
-  // cancelled; the queued request must not have run.
-  EXPECT_TRUE(holder_response.status == service::RequestStatus::kOk ||
-              holder_response.status == service::RequestStatus::kCancelled);
+  EXPECT_EQ(holder_response.status, service::RequestStatus::kCancelled);
   EXPECT_EQ(queued_response.status, service::RequestStatus::kCancelled);
+  EXPECT_EQ(queued_response.engine.enumerate.recursion_calls, 0u);
 
   // Post-shutdown submissions are rejected.
   const service::MatchResponse late = service->Match(PaperRequest());

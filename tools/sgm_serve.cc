@@ -670,11 +670,11 @@ int RunUpdateReplay(const CliArgs& args, const sgm::Graph& data,
     total_enumerate_ms += report.enumerate_ms;
     std::printf(
         "batch %zu: epoch %llu, %u ops, +%llu matches, -%llu matches,"
-        " apply %.3f ms, delta-enumerate %.3f ms\n",
+        " apply %.3f ms, delta-enumerate %.3f ms, compact %.3f ms\n",
         b, static_cast<unsigned long long>(report.epoch), report.ops_applied,
         static_cast<unsigned long long>(additions),
         static_cast<unsigned long long>(retractions), report.apply_ms,
-        report.enumerate_ms);
+        report.enumerate_ms, report.compact_ms);
 
     Json batch_json = Json::Object();
     batch_json.Set("epoch", Json::Number(report.epoch));
@@ -683,6 +683,7 @@ int RunUpdateReplay(const CliArgs& args, const sgm::Graph& data,
     batch_json.Set("retractions", Json::Number(retractions));
     batch_json.Set("apply_ms", Json::Number(report.apply_ms));
     batch_json.Set("enumerate_ms", Json::Number(report.enumerate_ms));
+    batch_json.Set("compact_ms", Json::Number(report.compact_ms));
     batches_json.Append(std::move(batch_json));
   }
 
@@ -727,6 +728,7 @@ int RunUpdateReplay(const CliArgs& args, const sgm::Graph& data,
   totals.Set("enumerate_ms", Json::Number(total_enumerate_ms));
   totals.Set("graph_epoch", Json::Number(stats.graph_epoch));
   totals.Set("compactions", Json::Number(stats.compactions));
+  totals.Set("compact_ms", Json::Number(stats.compact_ms));
   totals.Set("candidates_repaired", Json::Number(stats.candidates_repaired));
   totals.Set("consistent", Json::Bool(consistent));
   root.Set("totals", std::move(totals));
