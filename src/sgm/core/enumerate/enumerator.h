@@ -115,6 +115,21 @@ struct EnumerateStats {
   bool timed_out = false;
   bool reached_match_limit = false;
   double enumeration_ms = 0.0;
+
+  /// Adds another run's search counters and ORs its timeout, for callers
+  /// that merge parallel workers or sharded passes. match_count,
+  /// reached_match_limit and enumeration_ms describe the merged run as a
+  /// whole, so the caller sets them.
+  EnumerateStats& operator+=(const EnumerateStats& other) {
+    recursion_calls += other.recursion_calls;
+    local_candidates_scanned += other.local_candidates_scanned;
+    failing_set_prunes += other.failing_set_prunes;
+    bitmap_intersections += other.bitmap_intersections;
+    lc_cache_hits += other.lc_cache_hits;
+    lc_cache_misses += other.lc_cache_misses;
+    timed_out = timed_out || other.timed_out;
+    return *this;
+  }
 };
 
 /// Called for every match; mapping[i] is the data vertex assigned to the

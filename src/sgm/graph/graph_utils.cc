@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "sgm/graph/graph_builder.h"
 
@@ -155,22 +156,26 @@ Graph CompactLabels(const Graph& graph, std::vector<Label>* label_mapping) {
 Graph InducedSubgraph(const Graph& graph, std::span<const Vertex> vertices,
                       std::vector<Vertex>* old_to_new) {
   std::vector<Vertex> mapping(graph.vertex_count(), kInvalidVertex);
-  GraphBuilder builder;
+  std::vector<Label> labels(vertices.size());
   for (size_t i = 0; i < vertices.size(); ++i) {
     const Vertex old = vertices[i];
     SGM_CHECK(old < graph.vertex_count());
     SGM_CHECK_MSG(mapping[old] == kInvalidVertex, "duplicate vertex in selection");
-    mapping[old] = builder.AddVertex(graph.label(old));
+    mapping[old] = static_cast<Vertex>(i);
+    labels[i] = graph.label(old);
   }
+  // Each edge is emitted once, from its smaller endpoint: the list is
+  // duplicate-free, as the Graph constructor requires.
+  std::vector<std::pair<Vertex, Vertex>> edges;
   for (const Vertex old : vertices) {
     for (const Vertex w : graph.neighbors(old)) {
       if (mapping[w] != kInvalidVertex && old < w) {
-        builder.AddEdge(mapping[old], mapping[w]);
+        edges.emplace_back(mapping[old], mapping[w]);
       }
     }
   }
   if (old_to_new != nullptr) *old_to_new = std::move(mapping);
-  return builder.Build();
+  return Graph(std::move(labels), edges);
 }
 
 }  // namespace sgm

@@ -111,13 +111,6 @@ struct MatchOptions {
   uint32_t shards = 0;
   /// Vertex partitioner used when `shards` > 1.
   shard::Partitioner shard_partitioner = shard::Partitioner::kGreedy;
-  /// Internal hook of the sharded executor: when nonzero, candidate sets
-  /// are truncated to data vertices with id < this bound right after the
-  /// filtering phase, before the auxiliary structure is built. Shard graphs
-  /// lay out owned vertices below this threshold, so one comparison
-  /// restricts a pass to shard-owned embeddings — and shrinks its aux
-  /// structure to the owned slice. Leave 0 everywhere else.
-  uint32_t restrict_candidates_below = 0;
   /// Testing hook: silently drop the last root candidate before
   /// enumeration — an emulated off-by-one loop bound in the enumerator.
   /// Exists so the differential fuzzer's detection and minimization paths

@@ -224,7 +224,7 @@ RunReport BuildRunReport(const Graph& query, const Graph& data,
                          const MatchOptions& options,
                          const ParallelMatchResult& result);
 
-/// Builds the report of a ShardedMatchQuery / ExecuteShardPlan run.
+/// Builds the report of a ShardedMatchQuery run.
 RunReport BuildRunReport(const Graph& query, const Graph& data,
                          const MatchOptions& options,
                          const ShardedMatchResult& result);

@@ -288,15 +288,7 @@ ParallelMatchResult ParallelMatchQuery(const Graph& query, const Graph& data,
 
   // Aggregate worker statistics.
   EnumerateStats& stats = result.enumerate;
-  for (const EnumerateStats& worker : worker_enumerate) {
-    stats.recursion_calls += worker.recursion_calls;
-    stats.local_candidates_scanned += worker.local_candidates_scanned;
-    stats.failing_set_prunes += worker.failing_set_prunes;
-    stats.bitmap_intersections += worker.bitmap_intersections;
-    stats.lc_cache_hits += worker.lc_cache_hits;
-    stats.lc_cache_misses += worker.lc_cache_misses;
-    stats.timed_out = stats.timed_out || worker.timed_out;
-  }
+  for (const EnumerateStats& worker : worker_enumerate) stats += worker;
   stats.match_count = std::min<uint64_t>(
       global_matches.load(),
       options.max_matches > 0 ? options.max_matches

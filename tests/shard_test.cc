@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -141,39 +142,28 @@ TEST(ShardedGraphTest, ShardInvariants) {
   const Graph data = GenerateErdosRenyi(150, 450, 3, &prng);
   const shard::ShardedGraph sharded(data, 3, shard::Partitioner::kGreedy);
   const shard::Partition& partition = sharded.partition();
-  std::vector<bool> seen_owner(data.vertex_count(), false);
+  std::vector<uint32_t> owners(data.vertex_count(), 0);
   for (uint32_t s = 0; s < sharded.shard_count(); ++s) {
     const shard::Shard& shard = sharded.shard(s);
     ASSERT_EQ(shard.local_to_global.size(), shard.graph.vertex_count());
-    // Owned-first layout, ascending within each segment.
+    EXPECT_TRUE(std::is_sorted(shard.local_to_global.begin(),
+                               shard.local_to_global.end()));
     for (uint32_t i = 0; i < shard.graph.vertex_count(); ++i) {
       const Vertex global = shard.local_to_global[i];
+      EXPECT_EQ(partition.assignment[global], s);
       EXPECT_EQ(shard.graph.label(i), data.label(global));
-      if (i < shard.owned_count) {
-        EXPECT_EQ(partition.assignment[global], s);
-        EXPECT_FALSE(seen_owner[global]);
-        seen_owner[global] = true;
-        // Owned vertices keep their entire neighborhood.
-        EXPECT_EQ(shard.graph.degree(i), data.degree(global));
-      } else {
-        EXPECT_NE(partition.assignment[global], s);
-      }
-      if (i > 0 && i != shard.owned_count) {
-        EXPECT_LT(shard.local_to_global[i - 1], global);
-      }
-    }
-    // Every shard edge exists in the data graph and touches an owned
-    // vertex (no halo-halo edges).
-    for (uint32_t i = 0; i < shard.graph.vertex_count(); ++i) {
-      for (const Vertex j : shard.graph.neighbors(i)) {
-        EXPECT_TRUE(data.HasEdge(shard.local_to_global[i],
-                                 shard.local_to_global[j]));
-        EXPECT_TRUE(i < shard.owned_count || j < shard.owned_count);
+      ++owners[global];
+      // Induced on the owned vertices: an edge is in the shard iff it is
+      // in the data graph.
+      for (uint32_t j = 0; j < shard.graph.vertex_count(); ++j) {
+        EXPECT_EQ(shard.graph.HasEdge(i, j),
+                  data.HasEdge(global, shard.local_to_global[j]))
+            << "shard " << s << " local edge " << i << "-" << j;
       }
     }
   }
   for (Vertex v = 0; v < data.vertex_count(); ++v) {
-    EXPECT_TRUE(seen_owner[v]) << "vertex " << v << " owned by no shard";
+    EXPECT_EQ(owners[v], 1u) << "vertex " << v << " must be owned once";
   }
 }
 
@@ -205,7 +195,7 @@ TEST(ShardedGraphTest, SingleShardHasNoBoundary) {
   const shard::ShardedGraph sharded(data, 1, shard::Partitioner::kHash);
   EXPECT_TRUE(sharded.boundary_vertices().empty());
   EXPECT_EQ(sharded.Region(2), nullptr);
-  EXPECT_EQ(sharded.shard(0).owned_count, data.vertex_count());
+  EXPECT_EQ(sharded.shard(0).graph.vertex_count(), data.vertex_count());
 }
 
 // The headline property: embeddings that exist only across the cut are
@@ -395,26 +385,10 @@ TEST(ShardExecTest, MatchQueryDispatchesOnShardsOption) {
   EXPECT_EQ(MatchQuery(query, data, options).match_count, reference);
 }
 
-TEST(ShardExecTest, ShardPlanReusableAcrossExecutes) {
-  const Graph data = MakeTwoCommunityData();
-  const Graph query = MakeGraph({0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}});
-  MatchOptions options = MatchOptions::Recommended(query.vertex_count());
-  options.max_matches = 0;
-  const shard::ShardedGraph sharded(data, 2, shard::Partitioner::kGreedy);
-  const auto plan = BuildShardPlan(query, sharded, options);
-  EXPECT_GT(plan->MemoryBytes(), 0u);
-  const uint64_t first =
-      ExecuteShardPlan(query, sharded, *plan, options).result.match_count;
-  const uint64_t second =
-      ExecuteShardPlan(query, sharded, *plan, options).result.match_count;
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first, BruteForceCount(query, data));
-}
-
-// Aux structures of owned-restricted passes must shrink with K: that is the
-// memory story of sharding (ISSUE acceptance: per-shard aux <= 1/2 of the
-// monolithic aux at K=4; checked at benchmark scale in
-// bench_fig18_large_graph, structurally here).
+// Aux structures of shard-local passes must shrink with K: that is the
+// memory story of sharding (per-shard aux <= 1/2 of the monolithic aux at
+// K=4; checked at benchmark scale in bench_fig18_large_graph, structurally
+// here).
 TEST(ShardExecTest, PerShardAuxShrinks) {
   Prng prng(41);
   const Graph data = GenerateErdosRenyi(400, 1600, 2, &prng);
@@ -424,14 +398,84 @@ TEST(ShardExecTest, PerShardAuxShrinks) {
   const auto mono = BuildMatchPlan(*query, data, options);
   ASSERT_GT(mono->aux_memory_bytes, 0u);
   const shard::ShardedGraph sharded(data, 4, shard::Partitioner::kHash);
-  const auto plan = BuildShardPlan(*query, sharded, options);
+  const ShardedMatchResult result = ShardedMatchQuery(*query, sharded, options);
   size_t max_shard_aux = 0;
-  for (const auto& shard_plan : plan->shard_plans) {
-    ASSERT_NE(shard_plan, nullptr);
-    max_shard_aux = std::max(max_shard_aux, shard_plan->aux_memory_bytes);
+  uint32_t local_passes = 0;
+  for (const ShardPassStats& pass : result.sharding.passes) {
+    if (pass.boundary) continue;
+    ++local_passes;
+    EXPECT_EQ(pass.owned_vertices, pass.graph_vertices);
+    max_shard_aux = std::max(max_shard_aux, pass.aux_memory_bytes);
   }
+  EXPECT_EQ(local_passes, 4u);
   EXPECT_LT(max_shard_aux, mono->aux_memory_bytes / 2)
-      << "owned-restricted shard aux must be well below the monolithic aux";
+      << "shard-local aux must be well below the monolithic aux";
+}
+
+// Passes enumerate one after another in a fixed order, so even a budgeted
+// run — where the budget decides which embeddings are delivered at all —
+// hands the callback the same sequence every time.
+TEST(ShardExecTest, BudgetedDeliveriesAreDeterministic) {
+  const Graph data = MakeTwoCommunityData();
+  const Graph query = MakeGraph({0, 1, 0}, {{0, 1}, {1, 2}});
+  MatchOptions options = MatchOptions::Recommended(query.vertex_count());
+  const uint64_t total = MatchQuery(query, data, options).match_count;
+  options.max_matches = total / 2;
+  ASSERT_GT(options.max_matches, 10u);
+  const shard::ShardedGraph sharded(data, 4, shard::Partitioner::kHash);
+  std::vector<std::vector<Vertex>> runs[2];
+  for (auto& run : runs) {
+    const ShardedMatchResult result = ShardedMatchQuery(
+        query, sharded, options, [&run](std::span<const Vertex> mapping) {
+          run.emplace_back(mapping.begin(), mapping.end());
+          return true;
+        });
+    EXPECT_EQ(result.result.match_count, options.max_matches);
+    EXPECT_TRUE(result.result.enumerate.reached_match_limit);
+    uint32_t delivering_passes = 0;
+    for (const ShardPassStats& pass : result.sharding.passes) {
+      delivering_passes += pass.match_count > 0;
+    }
+    EXPECT_GE(delivering_passes, 2u) << "the budget must span passes";
+  }
+  EXPECT_EQ(runs[0].size(), options.max_matches);
+  EXPECT_EQ(runs[0], runs[1]);
+}
+
+// The caller's cancel flag reaches the running pass directly: set from
+// another thread after the first delivery, it stops a count that would
+// otherwise run for minutes.
+TEST(ShardExecTest, CancelFlagStopsRunningShardedCount) {
+  // Unlabeled K24: every path-6 image is a match, 24!/18! ~ 9.7e7 of them.
+  constexpr uint32_t kN = 24;
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (Vertex u = 0; u < kN; ++u) {
+    for (Vertex v = u + 1; v < kN; ++v) edges.push_back({u, v});
+  }
+  const Graph data = MakeGraph(std::vector<Label>(kN, 0), edges);
+  const Graph query = MakeGraph(std::vector<Label>(6, 0),
+                                {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  const uint64_t total = 24ull * 23 * 22 * 21 * 20 * 19;
+  MatchOptions options = MatchOptions::Recommended(query.vertex_count());
+  options.max_matches = 0;
+  std::atomic<bool> cancel{false};
+  options.cancel_flag = &cancel;
+  const shard::ShardedGraph sharded(data, 2, shard::Partitioner::kHash);
+  std::atomic<bool> started{false};
+  std::thread canceller([&] {
+    while (!started.load()) std::this_thread::yield();
+    cancel.store(true);
+  });
+  const ShardedMatchResult result = ShardedMatchQuery(
+      query, sharded, options, [&started](std::span<const Vertex>) {
+        started.store(true, std::memory_order_relaxed);
+        return true;
+      });
+  canceller.join();
+  EXPECT_GT(result.result.match_count, 0u);
+  EXPECT_LT(result.result.match_count, total);
+  EXPECT_FALSE(result.result.enumerate.timed_out);
+  EXPECT_FALSE(result.result.enumerate.reached_match_limit);
 }
 
 }  // namespace

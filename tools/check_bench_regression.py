@@ -1,25 +1,20 @@
 #!/usr/bin/env python3
 """Guard benchmark regressions in CI.
 
-Two modes:
-
-* Manifest mode (--manifest): run a list of checks, each comparing a
-  freshly generated benchmark JSON against a committed baseline. Two
-  metric kinds are understood:
-    - service_p99:        BENCH_service.json (tools/sgm_serve --out);
-                          per-pass latency.p99_ms, higher is worse.
-    - benchmark_cpu_time: google-benchmark --benchmark_out JSON;
-                          per-benchmark cpu_time, higher is worse.
-    - dynamic_speedup:    BENCH_dynamic.json (bench_dynamic_updates);
-                          a floor check — the incremental-vs-rebuild
-                          speedup must stay at or above the check's
-                          min_speedup (default 10), and the per-batch
-                          count cross-check must have passed.
-  Every check prints a per-metric table and the run fails if any metric
-  exceeds its budget.
-
-* Legacy mode (--baseline/--current): the original serving-p99 check,
-  kept so existing invocations and docs stay valid.
+Runs the manifest's list of checks (--manifest), each comparing a freshly
+generated benchmark JSON against a committed baseline. Three metric kinds
+are understood:
+  - service_p99:        BENCH_service.json (tools/sgm_serve --out);
+                        per-pass latency.p99_ms, higher is worse.
+  - benchmark_cpu_time: google-benchmark --benchmark_out JSON;
+                        per-benchmark cpu_time, higher is worse.
+  - dynamic_speedup:    BENCH_dynamic.json (bench_dynamic_updates);
+                        a floor check — the incremental-vs-rebuild
+                        speedup must stay at or above the check's
+                        min_speedup (default 10), and the per-batch
+                        count cross-check must have passed.
+Every check prints a per-metric table and the run fails if any metric
+exceeds its budget.
 
 Budgets combine a fractional threshold with an absolute slack floor:
 sub-millisecond baselines are noisy on shared CI runners, so the floor
@@ -190,13 +185,9 @@ def run_manifest(path, default_regression, default_slack):
 def main():
     parser = argparse.ArgumentParser(
         description="Fail when benchmark metrics regress vs their baselines.")
-    parser.add_argument("--manifest",
+    parser.add_argument("--manifest", required=True,
                         help="JSON manifest of checks: {checks: [{name, kind, "
                              "baseline, current, max_regression, slack_ms}]}")
-    parser.add_argument("--baseline",
-                        help="legacy mode: committed BENCH_service.json")
-    parser.add_argument("--current",
-                        help="legacy mode: freshly generated BENCH_service.json")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="allowed fractional increase when a check does "
                              "not set its own (default 0.25)")
@@ -207,19 +198,7 @@ def main():
     if args.max_regression < 0.0 or args.slack_ms < 0.0:
         parser.error("--max-regression and --slack-ms must be non-negative")
 
-    if args.manifest:
-        if args.baseline or args.current:
-            parser.error("--manifest and --baseline/--current are exclusive")
-        failed = run_manifest(args.manifest, args.max_regression,
-                              args.slack_ms)
-    else:
-        if not args.baseline or not args.current:
-            parser.error("either --manifest or both --baseline and --current "
-                         "are required")
-        failed = compare("serving-p99", load_service_metrics(args.baseline),
-                         load_service_metrics(args.current),
-                         args.max_regression, args.slack_ms)
-
+    failed = run_manifest(args.manifest, args.max_regression, args.slack_ms)
     return 1 if failed else 0
 
 
