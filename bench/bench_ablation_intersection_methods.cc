@@ -7,11 +7,17 @@
 // kBitmap/kAuto on raw sorted arrays measure the dispatch fallback (they
 // delegate to hybrid — bitmap operands only exist inside the aux
 // structure); the BM_Bitmap* benches measure the word kernels themselves
-// against the sorted-array kernels at matched density.
+// against the sorted-array kernels at matched density. BM_AuxBuildAllEdges
+// times the construction those rows come from: the all-edges auxiliary
+// structure over GraphQL candidates, with and without the bitmap sidecar.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "sgm/core/aux_structure.h"
+#include "sgm/core/filter/filter.h"
+#include "sgm/graph/generators.h"
+#include "sgm/graph/query_generator.h"
 #include "sgm/util/bitmap_intersection.h"
 #include "sgm/util/prng.h"
 #include "sgm/util/set_intersection.h"
@@ -148,6 +154,36 @@ void BM_HybridAtDensity(benchmark::State& state) {
                           static_cast<int64_t>(a.size() + b.size()));
 }
 BENCHMARK(BM_HybridAtDensity)->Apply(BitmapArgs);
+
+// ---- Auxiliary-structure construction. ----
+//
+// One fixed RMAT graph and 16 extracted 8-vertex queries with their GraphQL
+// candidates; an iteration builds the all-edges structure of every query.
+// The argument toggles the bitmap sidecar (default density threshold).
+void BM_AuxBuildAllEdges(benchmark::State& state) {
+  Prng prng(1234);
+  const Graph data = GenerateRmat(8192, 40000, 8, &prng);
+  const std::vector<Graph> queries =
+      GenerateQuerySet(data, 8, QueryDensity::kAny, 16, &prng);
+  std::vector<CandidateSets> candidates;
+  for (const Graph& query : queries) {
+    candidates.push_back(
+        RunFilter(FilterMethod::kGraphQL, query, data).candidates);
+  }
+  AuxBuildOptions build;
+  build.build_bitmaps = state.range(0) != 0;
+  uint64_t entries = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const AuxStructure aux = AuxStructure::BuildAllEdges(
+          queries[i], data, candidates[i], build);
+      entries += aux.CandidateEdgeCount();
+      benchmark::DoNotOptimize(aux);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(entries));
+}
+BENCHMARK(BM_AuxBuildAllEdges)->ArgName("bitmaps")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace sgm

@@ -30,7 +30,12 @@ AuxStructure::AuxStructure(const Graph& query, const Graph& data,
                -1);
   indexes_.reserve(edges.size() * 2);
 
-  std::vector<Vertex> scratch;
+  // position[w] = 1 + the index of w in C(to) while the directed edge
+  // (from -> to) is built, 0 otherwise. A row then costs one walk over N(v)
+  // instead of a merge over all of C(to), and each hit's bitmap bit is read
+  // off directly.
+  std::vector<uint32_t> position(data.vertex_count(), 0);
+  std::vector<Vertex> row;
   for (const auto& [a, b] : edges) {
     SGM_CHECK_MSG(query.HasEdge(a, b), "aux structure pair is not a query edge");
     for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
@@ -53,24 +58,38 @@ AuxStructure::AuxStructure(const Graph& query, const Graph& data,
                               static_cast<size_t>(index.bitmap_stride),
                           0);
       }
+      for (uint32_t i = 0; i < to_cands.size(); ++i) {
+        position[to_cands[i]] = i + 1;
+      }
       index.offsets.reserve(from_cands.size() + 1);
       index.offsets.push_back(0);
       for (size_t r = 0; r < from_cands.size(); ++r) {
-        IntersectHybrid(data.neighbors(from_cands[r]), to_cands, &scratch);
-        index.lists.insert(index.lists.end(), scratch.begin(), scratch.end());
+        const auto nbrs = data.neighbors(from_cands[r]);
+        row.clear();
+        if (to_cands.empty()) {
+          // Nothing to index against: every row is empty.
+        } else if (nbrs.size() / to_cands.size() >= kGallopingRatio) {
+          // A hub: probing the small C(to) into N(v) beats walking N(v).
+          IntersectGalloping(to_cands, nbrs, &row);
+        } else {
+          // N(v) is sorted, so the hits come out sorted.
+          for (const Vertex w : nbrs) {
+            if (position[w] != 0) row.push_back(w);
+          }
+        }
+        // Rows are appended as whole ranges: that fixes how the list
+        // capacity grows, which MemoryBytes and plan-cache accounting read.
+        index.lists.insert(index.lists.end(), row.begin(), row.end());
         index.offsets.push_back(static_cast<uint32_t>(index.lists.size()));
-        if (bitmaps && !scratch.empty()) {
-          // scratch ⊆ C(to) and both are sorted: a resumed two-pointer walk
-          // recovers each neighbor's candidate index in one pass.
-          uint64_t* row = index.bits.data() + r * index.bitmap_stride;
-          size_t pos = 0;
-          for (const Vertex v : scratch) {
-            while (to_cands[pos] != v) ++pos;
-            row[pos >> 6] |= 1ULL << (pos & 63);
-            ++pos;
+        if (bitmaps) {
+          uint64_t* bits = index.bits.data() + r * index.bitmap_stride;
+          for (const Vertex w : row) {
+            const uint32_t bit = position[w] - 1;
+            bits[bit >> 6] |= 1ULL << (bit & 63);
           }
         }
       }
+      for (const Vertex w : to_cands) position[w] = 0;
       indexes_.push_back(std::move(index));
     }
   }

@@ -51,6 +51,9 @@ class AuxStructure {
 
   /// Indexes the given undirected query edges (both directions each) against
   /// the candidate sets. Every listed pair must be an edge of `query`.
+  /// A directed edge (u -> u') costs O(|C(u')| + Σ_{v ∈ C(u)} deg(v)) through
+  /// a candidate-position map over V(G); a row whose deg(v) is at least
+  /// kGallopingRatio times |C(u')| gallops C(u') into N(v) instead.
   AuxStructure(const Graph& query, const Graph& data,
                const CandidateSets& candidates,
                std::span<const std::pair<Vertex, Vertex>> edges,

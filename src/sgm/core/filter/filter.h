@@ -88,6 +88,8 @@ CandidateSets BuildLdfCandidates(const Graph& query, const Graph& data);
 /// LDF + neighbor-label-frequency filter.
 CandidateSets BuildNlfCandidates(const Graph& query, const Graph& data);
 
+/// GraphQL's filter; the query may have at most kMaxQueryVertices vertices
+/// (the refinement keeps one query bit per data vertex).
 FilterResult RunGraphQlFilter(const Graph& query, const Graph& data,
                               const FilterOptions& options);
 FilterResult RunCflFilter(const Graph& query, const Graph& data);

@@ -3,8 +3,9 @@
 //  1. Local pruning — the profile of u (lexicographically sorted labels of u
 //     and its neighbors within distance r = 1) must be a sub-sequence of the
 //     profile of v. With sorted profiles this is equivalent to a per-label
-//     count dominance test, which we evaluate using the precomputed
-//     neighbor-label-frequency tables.
+//     count dominance test. At r = 1 it is exactly NLF: u and v carry the
+//     same label, so only the neighbor labels need comparing. Larger radii
+//     additionally compare BFS label counts.
 //  2. Global refinement — the pseudo subgraph isomorphism test: for
 //     v ∈ C(u), build the bipartite graph B between N(u) and N(v) with an
 //     edge (u', v') whenever v' ∈ C(u'), and require a semi-perfect matching
@@ -12,6 +13,9 @@
 #include "sgm/core/filter/filter.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,18 +25,22 @@ namespace sgm {
 
 namespace {
 
-// Kuhn's augmenting-path algorithm deciding whether the bipartite graph
-// between left = N(u) and right = N(v) has a matching covering all of left.
-// adjacency[i] lists right indices reachable from left index i.
+// Kuhn's augmenting-path algorithm deciding whether a bipartite graph has a
+// matching covering every left vertex. The graph is given in CSR form: the
+// right neighbors of left i are right[offsets[i], offsets[i + 1]). Visit
+// marks are epoch-stamped, so no per-left reset touches the right side.
 class SemiPerfectMatcher {
  public:
-  bool Covers(const std::vector<std::vector<uint32_t>>& adjacency,
-              uint32_t right_size) {
-    const auto left_size = static_cast<uint32_t>(adjacency.size());
+  bool Covers(std::span<const uint32_t> offsets,
+              std::span<const uint32_t> right, uint32_t right_size) {
     right_match_.assign(right_size, kUnmatched);
-    for (uint32_t i = 0; i < left_size; ++i) {
-      visited_.assign(right_size, false);
-      if (!TryAugment(adjacency, i)) return false;
+    if (visit_.size() < right_size) visit_.resize(right_size, 0);
+    for (uint32_t left = 0; left + 1 < offsets.size(); ++left) {
+      if (++epoch_ == 0) {  // wrapped: stale stamps could alias
+        std::fill(visit_.begin(), visit_.end(), 0);
+        epoch_ = 1;
+      }
+      if (!TryAugment(offsets, right, left)) return false;
     }
     return true;
   }
@@ -40,14 +48,15 @@ class SemiPerfectMatcher {
  private:
   static constexpr uint32_t kUnmatched = 0xffffffffu;
 
-  bool TryAugment(const std::vector<std::vector<uint32_t>>& adjacency,
-                  uint32_t left) {
-    for (const uint32_t right : adjacency[left]) {
-      if (visited_[right]) continue;
-      visited_[right] = true;
-      if (right_match_[right] == kUnmatched ||
-          TryAugment(adjacency, right_match_[right])) {
-        right_match_[right] = left;
+  bool TryAugment(std::span<const uint32_t> offsets,
+                  std::span<const uint32_t> right, uint32_t left) {
+    for (uint32_t e = offsets[left]; e < offsets[left + 1]; ++e) {
+      const uint32_t r = right[e];
+      if (visit_[r] == epoch_) continue;
+      visit_[r] = epoch_;
+      if (right_match_[r] == kUnmatched ||
+          TryAugment(offsets, right, right_match_[r])) {
+        right_match_[r] = left;
         return true;
       }
     }
@@ -55,23 +64,32 @@ class SemiPerfectMatcher {
   }
 
   std::vector<uint32_t> right_match_;
-  std::vector<bool> visited_;
+  std::vector<uint32_t> visit_;
+  uint32_t epoch_ = 0;
 };
 
-// Profile dominance at r = 1: every label in {L(u)} ∪ L(N(u)) must occur in
-// {L(v)} ∪ L(N(v)) at least as many times. Labels of u and v are equal by
-// LDF, so comparing neighbor-label counts suffices — except the neighbor
-// multiset of u may contain L(u) itself, which v's own label also covers.
-bool ProfileDominates(const Graph& query, const Graph& data, Vertex u,
-                      Vertex v) {
-  for (const auto& [label, count] : query.NeighborLabelFrequency(u)) {
-    uint32_t available = data.NeighborCountWithLabel(v, label);
-    // v itself contributes one occurrence of its own label to the profile,
-    // matching the occurrence contributed by u (labels equal under LDF), so
-    // self labels cancel and no adjustment is needed.
-    if (available < count) return false;
+// Builds the CSR bipartite graph between left = N(u) and the useful data
+// neighbors of a candidate: right r is adjacent to left left_of[u'] for
+// every query vertex u' whose bit is set in right_masks[r].
+void BuildBipartite(std::span<const uint64_t> right_masks,
+                    std::span<const uint32_t> left_of, uint32_t left_size,
+                    std::vector<uint32_t>* offsets,
+                    std::vector<uint32_t>* right) {
+  offsets->assign(left_size + 1, 0);
+  for (const uint64_t bits : right_masks) {
+    for (uint64_t b = bits; b != 0; b &= b - 1) {
+      ++(*offsets)[left_of[std::countr_zero(b)] + 1];
+    }
   }
-  return true;
+  for (uint32_t i = 0; i < left_size; ++i) (*offsets)[i + 1] += (*offsets)[i];
+  right->resize(offsets->back());
+  std::array<uint32_t, kMaxQueryVertices> cursor{};
+  std::copy(offsets->begin(), offsets->end() - 1, cursor.begin());
+  for (uint32_t r = 0; r < right_masks.size(); ++r) {
+    for (uint64_t b = right_masks[r]; b != 0; b &= b - 1) {
+      (*right)[cursor[left_of[std::countr_zero(b)]]++] = r;
+    }
+  }
 }
 
 // Generic radius-r profile: label counts of the distinct vertices within
@@ -142,79 +160,101 @@ bool CountsDominated(const std::vector<std::pair<Label, uint32_t>>& needed,
 
 FilterResult RunGraphQlFilter(const Graph& query, const Graph& data,
                               const FilterOptions& options) {
-  // Step 1: local pruning over the LDF candidates. Radius 1 uses the
-  // precomputed neighbor-label tables; larger radii additionally require
-  // profile dominance at every hop count up to the radius (each check is
-  // individually complete, so the conjunction is too, and radius r strictly
-  // refines radius r-1).
+  // Step 1: local pruning. Radius 1 is exactly NLF; larger radii
+  // additionally require profile dominance at every hop count up to the
+  // radius (each check is individually complete, so the conjunction is too,
+  // and radius r strictly refines radius r-1).
   SGM_CHECK(options.graphql_profile_radius >= 1);
+  SGM_CHECK_MSG(query.vertex_count() <= kMaxQueryVertices,
+                "GraphQL refinement keeps one query bit per data vertex");
   Timer round_timer;
   std::vector<FilterRound> rounds;
-  ProfileCollector query_profiles(query);
-  ProfileCollector data_profiles(data);
-  CandidateSets candidates(query.vertex_count());
-  for (Vertex u = 0; u < query.vertex_count(); ++u) {
-    const Label l = query.label(u);
-    if (l >= data.label_count()) continue;
+  CandidateSets candidates = BuildNlfCandidates(query, data);
+  if (options.graphql_profile_radius >= 2) {
+    ProfileCollector query_profiles(query);
+    ProfileCollector data_profiles(data);
     std::vector<std::vector<std::pair<Label, uint32_t>>> needed_per_radius;
-    for (uint32_t r = 2; r <= options.graphql_profile_radius; ++r) {
-      needed_per_radius.push_back(query_profiles.Collect(u, r));
-    }
-    auto& set = candidates.mutable_candidates(u);
-    for (const Vertex v : data.VerticesWithLabel(l)) {
-      if (data.degree(v) < query.degree(u)) continue;
-      bool dominated = ProfileDominates(query, data, u, v);
-      for (uint32_t r = 2; dominated && r <= options.graphql_profile_radius;
-           ++r) {
-        dominated = CountsDominated(needed_per_radius[r - 2],
-                                    data_profiles.Collect(v, r));
+    for (Vertex u = 0; u < query.vertex_count(); ++u) {
+      needed_per_radius.clear();
+      for (uint32_t r = 2; r <= options.graphql_profile_radius; ++r) {
+        needed_per_radius.push_back(query_profiles.Collect(u, r));
       }
-      if (dominated) set.push_back(v);
+      std::erase_if(candidates.mutable_candidates(u), [&](Vertex v) {
+        for (uint32_t r = 2; r <= options.graphql_profile_radius; ++r) {
+          if (!CountsDominated(needed_per_radius[r - 2],
+                               data_profiles.Collect(v, r))) {
+            return true;
+          }
+        }
+        return false;
+      });
     }
   }
 
   rounds.push_back({"local-pruning", candidates.TotalCount(),
                     round_timer.ElapsedMillis()});
 
-  // Step 2: global refinement. Membership flags over the data graph are kept
-  // per query vertex and updated as candidates are pruned, so a check
-  // "v' ∈ C(u')" is O(1).
-  std::vector<std::vector<uint8_t>> member(query.vertex_count());
+  // Step 2: global refinement. query_mask[w] has bit u' set iff w ∈ C(u'),
+  // and is updated as candidates are pruned, so one word answers
+  // "w ∈ C(u')" for every query vertex at once.
+  std::vector<uint64_t> query_mask(data.vertex_count(), 0);
   for (Vertex u = 0; u < query.vertex_count(); ++u) {
-    member[u].assign(data.vertex_count(), 0);
-    for (const Vertex v : candidates.candidates(u)) member[u][v] = 1;
+    for (const Vertex v : candidates.candidates(u)) query_mask[v] |= 1ULL << u;
   }
 
+  // The bipartite graph of one candidate, reused across candidates: the
+  // query-neighbor bits of each useful data neighbor (a prefix of
+  // right_masks), and the CSR arrays the matcher reads.
   SemiPerfectMatcher matcher;
-  std::vector<std::vector<uint32_t>> adjacency;
+  std::vector<uint64_t> right_masks;
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> right;
+  std::array<uint32_t, kMaxQueryVertices> left_of{};
   for (uint32_t round = 0; round < options.graphql_refinement_rounds; ++round) {
     round_timer.Reset();
     bool changed = false;
     for (Vertex u = 0; u < query.vertex_count(); ++u) {
       auto& set = candidates.mutable_candidates(u);
       const auto query_nbrs = query.neighbors(u);
+      const auto left_size = static_cast<uint32_t>(query_nbrs.size());
+      uint64_t needed = 0;
+      for (uint32_t i = 0; i < left_size; ++i) {
+        needed |= 1ULL << query_nbrs[i];
+        left_of[query_nbrs[i]] = i;
+      }
       size_t out = 0;
       for (const Vertex v : set) {
+        // One pass over N(v): the OR of the neighbors' query bits rejects v
+        // when some neighbor of u has no candidate adjacent to v, and the
+        // nonzero masks are the right side of the bipartite graph.
         const auto data_nbrs = data.neighbors(v);
-        adjacency.assign(query_nbrs.size(), {});
-        bool feasible = true;
-        for (size_t i = 0; i < query_nbrs.size(); ++i) {
-          const Vertex u_prime = query_nbrs[i];
-          for (size_t j = 0; j < data_nbrs.size(); ++j) {
-            if (member[u_prime][data_nbrs[j]]) {
-              adjacency[i].push_back(static_cast<uint32_t>(j));
-            }
-          }
-          if (adjacency[i].empty()) {
-            feasible = false;  // some neighbor of u has no candidate near v
-            break;
+        if (right_masks.size() < data_nbrs.size()) {
+          right_masks.resize(data_nbrs.size());
+        }
+        uint64_t seen = 0;
+        uint32_t right_size = 0;
+        for (const Vertex w : data_nbrs) {
+          const uint64_t bits = query_mask[w] & needed;
+          seen |= bits;
+          right_masks[right_size] = bits;
+          right_size += bits != 0 ? 1 : 0;
+        }
+        bool feasible = seen == needed;
+        // With one query neighbor the test above is the whole matching;
+        // fewer useful data neighbors than query neighbors fails Hall's
+        // condition outright.
+        if (feasible && left_size >= 2) {
+          feasible = right_size >= left_size;
+          if (feasible) {
+            BuildBipartite({right_masks.data(), right_size}, left_of,
+                           left_size, &offsets, &right);
+            feasible = matcher.Covers(offsets, right, right_size);
           }
         }
-        if (feasible &&
-            matcher.Covers(adjacency, static_cast<uint32_t>(data_nbrs.size()))) {
+        if (feasible) {
           set[out++] = v;
         } else {
-          member[u][v] = 0;
+          query_mask[v] &= ~(1ULL << u);
           changed = true;
         }
       }

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sgm/graph/generators.h"
+#include "sgm/graph/query_generator.h"
 #include "test_support.h"
 
 namespace sgm {
@@ -148,6 +150,86 @@ TEST(FilterTest, GraphQlRefinementRoundsAreConfigurable) {
       RunFilter(FilterMethod::kGraphQL, query, data, one_round);
   EXPECT_GE(local_only.candidates.TotalCount(),
             refined.candidates.TotalCount());
+}
+
+TEST(FilterTest, GraphQlRoundTotalsArePinned) {
+  // Per-round sums of |C(u)| (local pruning, then each refinement round) of
+  // 30 extracted queries of 4-12 vertices at radius 1 and 2. Recorded with
+  // the original member-array refinement; any faster implementation must
+  // reproduce them exactly.
+  const std::vector<std::vector<std::vector<uint64_t>>> expected = {
+      {{563, 554, 554}, {563, 554, 554}},
+      {{674, 635, 634}, {674, 635, 634}},
+      {{838, 785, 780}, {838, 785, 780}},
+      {{892, 841, 834}, {892, 841, 834}},
+      {{965, 927, 924}, {965, 927, 924}},
+      {{1273, 1187, 1185}, {1272, 1187, 1185}},
+      {{1385, 1292, 1284}, {1385, 1292, 1284}},
+      {{1362, 1251, 1245}, {1362, 1251, 1245}},
+      {{1248, 956, 913}, {1245, 956, 913}},
+      {{549, 531, 531}, {549, 531, 531}},
+      {{703, 672, 672}, {703, 672, 672}},
+      {{803, 760, 758}, {802, 760, 758}},
+      {{823, 693, 685}, {821, 693, 685}},
+      {{1031, 926, 910}, {1027, 926, 910}},
+      {{1105, 976, 967}, {1103, 976, 967}},
+      {{1127, 983, 973}, {1126, 982, 973}},
+      {{1272, 1185, 1178}, {1271, 1185, 1178}},
+      {{1444, 1317, 1301}, {1442, 1317, 1301}},
+      {{587, 569, 569}, {587, 569, 569}},
+      {{716, 680, 677}, {715, 680, 677}},
+      {{773, 737, 734}, {773, 737, 734}},
+      {{805, 705, 683}, {804, 705, 683}},
+      {{966, 880, 871}, {965, 880, 871}},
+      {{978, 802, 778}, {978, 802, 778}},
+      {{1354, 1294, 1292}, {1353, 1294, 1292}},
+      {{1266, 1045, 1024}, {1265, 1045, 1024}},
+      {{1494, 1359, 1351}, {1491, 1359, 1351}},
+      {{579, 540, 540}, {575, 540, 540}},
+      {{734, 677, 677}, {733, 677, 677}},
+      {{777, 737, 737}, {777, 737, 737}},
+  };
+  Prng prng(1515);
+  const Graph data = GenerateRmat(1500, 9000, 6, &prng);
+  for (uint32_t i = 0; i < expected.size(); ++i) {
+    const auto query = ExtractQuery(data, 4 + i % 9, QueryDensity::kAny, &prng);
+    ASSERT_TRUE(query.has_value()) << "query " << i;
+    for (uint32_t radius : {1u, 2u}) {
+      FilterOptions options;
+      options.graphql_profile_radius = radius;
+      const FilterResult result =
+          RunFilter(FilterMethod::kGraphQL, *query, data, options);
+      std::vector<uint64_t> totals;
+      for (const FilterRound& round : result.rounds) {
+        totals.push_back(round.total_candidates);
+      }
+      EXPECT_EQ(totals, expected[i][radius - 1])
+          << "query " << i << " radius " << radius;
+    }
+  }
+}
+
+TEST(FilterTest, GraphQlPrunesWhenNeighborsShareOneCandidate) {
+  // u0 (B) has two A-neighbors u1 and u2, each also adjacent to a C leaf.
+  // v0 (B) has two A-neighbors, but v2 has degree 1 and is a candidate of
+  // neither u1 nor u2; v1 is a candidate of both. Every neighbor of u0 thus
+  // has a candidate next to v0, yet u1 and u2 cannot both be matched:
+  // there is no semi-perfect matching and v0 must go.
+  const Graph query = MakeGraph({1, 0, 0, 2, 2},
+                                {{0, 1}, {0, 2}, {1, 3}, {2, 4}});
+  const Graph data = MakeGraph({1, 0, 0, 2}, {{0, 1}, {0, 2}, {1, 3}});
+  FilterOptions local_only;
+  local_only.graphql_refinement_rounds = 0;
+  const FilterResult local =
+      RunFilter(FilterMethod::kGraphQL, query, data, local_only);
+  EXPECT_EQ(AsVector(local.candidates.candidates(0)),
+            (std::vector<Vertex>{0}));
+  EXPECT_EQ(AsVector(local.candidates.candidates(1)),
+            (std::vector<Vertex>{1}));
+  EXPECT_EQ(AsVector(local.candidates.candidates(2)),
+            (std::vector<Vertex>{1}));
+  const FilterResult refined = RunFilter(FilterMethod::kGraphQL, query, data);
+  EXPECT_TRUE(refined.candidates.candidates(0).empty());
 }
 
 TEST(FilterTest, MethodNames) {
