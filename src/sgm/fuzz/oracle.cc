@@ -5,11 +5,15 @@
 #include <string>
 
 #include "sgm/core/brute_force.h"
+#include "sgm/core/order/order.h"
+#include "sgm/core/spectrum.h"
 #include "sgm/dynamic/continuous.h"
 #include "sgm/dynamic/dynamic_graph.h"
 #include "sgm/graph/graph_utils.h"
 #include "sgm/parallel/parallel_matcher.h"
+#include "sgm/plan.h"
 #include "sgm/service/service.h"
+#include "sgm/util/prng.h"
 
 namespace sgm::fuzz {
 
@@ -46,6 +50,27 @@ bool ParseVerdictKind(const std::string& name, VerdictKind* out) {
 
 namespace {
 
+// A callback appending every match to `embeddings` when `collect`, else
+// none (counting only).
+MatchCallback CollectIf(bool collect,
+                        std::vector<std::vector<Vertex>>* embeddings) {
+  if (!collect) return {};
+  return [embeddings](std::span<const Vertex> mapping) {
+    embeddings->emplace_back(mapping.begin(), mapping.end());
+    return true;
+  };
+}
+
+ConfigOutcome OutcomeOf(std::string name, const MatchResult& result) {
+  ConfigOutcome outcome;
+  outcome.name = std::move(name);
+  outcome.match_count = result.match_count;
+  outcome.timed_out = result.enumerate.timed_out;
+  outcome.reached_limit = result.enumerate.reached_match_limit;
+  outcome.total_ms = result.total_ms;
+  return outcome;
+}
+
 // Runs one configuration, optionally collecting the embeddings. The
 // parallel path serializes the callback internally, so collection is safe
 // in both modes.
@@ -54,13 +79,7 @@ ConfigOutcome RunConfig(const FuzzCase& fuzz_case, const ConfigSpec& config,
                         std::vector<std::vector<Vertex>>* embeddings) {
   const MatchOptions options = config.ToMatchOptions(
       fuzz_case.query.vertex_count(), budget, fuzz_case.time_limit_ms);
-  MatchCallback callback;
-  if (collect) {
-    callback = [embeddings](std::span<const Vertex> mapping) {
-      embeddings->emplace_back(mapping.begin(), mapping.end());
-      return true;
-    };
-  }
+  const MatchCallback callback = CollectIf(collect, embeddings);
   MatchResult result;
   if (config.service) {
     // Served path: submit the same query twice against one MatchService so
@@ -87,13 +106,7 @@ ConfigOutcome RunConfig(const FuzzCase& fuzz_case, const ConfigSpec& config,
   } else {
     result = MatchQuery(fuzz_case.query, fuzz_case.data, options, callback);
   }
-  ConfigOutcome outcome;
-  outcome.name = config.Name();
-  outcome.match_count = result.match_count;
-  outcome.timed_out = result.enumerate.timed_out;
-  outcome.reached_limit = result.enumerate.reached_match_limit;
-  outcome.total_ms = result.total_ms;
-  return outcome;
+  return OutcomeOf(config.Name(), result);
 }
 
 // Property 4 (see file comment of oracle.h): replays the case's update
@@ -222,25 +235,24 @@ OracleResult RunOracle(const FuzzCase& fuzz_case,
     std::sort(reference_embeddings.begin(), reference_embeddings.end());
   }
 
-  // ---- Run and compare every configuration. ----
-  for (const ConfigSpec& config : fuzz_case.configs) {
-    std::vector<std::vector<Vertex>> embeddings;
-    const ConfigOutcome outcome =
-        RunConfig(fuzz_case, config, budget, compare_embeddings, &embeddings);
+  // ---- Compare one outcome against the reference; the first
+  // disagreement sets the verdict. ----
+  const auto check = [&](const ConfigOutcome& outcome,
+                         std::vector<std::vector<Vertex>>& embeddings) {
     oracle.outcomes.push_back(outcome);
-    if (oracle.kind != VerdictKind::kAgree) continue;  // Keep running all.
+    if (oracle.kind != VerdictKind::kAgree) return;  // Keep running all.
 
     if (outcome.match_count != reference) {
       oracle.kind = VerdictKind::kCountMismatch;
       oracle.detail = outcome.name + " found " +
                       std::to_string(outcome.match_count) +
                       " matches, reference found " + std::to_string(reference);
-      continue;
+      return;
     }
     if (outcome.timed_out && fuzz_case.time_limit_ms <= 0.0) {
       oracle.kind = VerdictKind::kLimitStatusMismatch;
       oracle.detail = outcome.name + " reported a timeout with no time limit";
-      continue;
+      return;
     }
     // When the true count is strictly below the budget, no engine may
     // claim it was cut off by it. (At reference == budget the flag depends
@@ -251,7 +263,7 @@ OracleResult RunOracle(const FuzzCase& fuzz_case,
       oracle.detail = outcome.name + " claimed the match budget (" +
                       std::to_string(budget) + ") was hit at " +
                       std::to_string(outcome.match_count) + " matches";
-      continue;
+      return;
     }
     if (compare_embeddings) {
       std::sort(embeddings.begin(), embeddings.end());
@@ -261,9 +273,37 @@ OracleResult RunOracle(const FuzzCase& fuzz_case,
                         " delivered a different embedding set than the"
                         " reference (equal counts: " +
                         std::to_string(outcome.match_count) + ")";
-        continue;
       }
     }
+  };
+
+  // ---- Run and compare every configuration. ----
+  for (const ConfigSpec& config : fuzz_case.configs) {
+    std::vector<std::vector<Vertex>> embeddings;
+    check(RunConfig(fuzz_case, config, budget, compare_embeddings, &embeddings),
+          embeddings);
+  }
+
+  // ---- Order runs: the first configuration whose plan accepts any order,
+  // built once, under RI's order and one random connected order. ----
+  for (const ConfigSpec& config : fuzz_case.configs) {
+    const MatchOptions options = config.ToMatchOptions(
+        fuzz_case.query.vertex_count(), budget, fuzz_case.time_limit_ms);
+    const auto plan = BuildMatchPlan(fuzz_case.query, fuzz_case.data, options);
+    if (!PlanAcceptsAnyOrder(*plan)) continue;
+    Prng prng(fuzz_case.seed);
+    const std::pair<const char*, std::vector<Vertex>> orders[] = {
+        {"/order-ri", RiOrder(fuzz_case.query)},
+        {"/order-random", RandomConnectedOrder(fuzz_case.query, &prng)}};
+    for (const auto& [suffix, order] : orders) {
+      std::vector<std::vector<Vertex>> embeddings;
+      const MatchResult result = ExecutePlan(
+          fuzz_case.query, fuzz_case.data, *plan, options,
+          CollectIf(compare_embeddings, &embeddings),
+          /*include_build_metrics=*/true, order);
+      check(OutcomeOf(config.Name() + suffix, result), embeddings);
+    }
+    break;
   }
 
   // ---- Dynamic dimension: incremental replay vs cold rematch. Skipped

@@ -12,6 +12,11 @@
 //   3. Limit status: when the true count is strictly under the budget, no
 //      configuration may claim it hit the budget, and with an unlimited
 //      time budget none may claim a timeout.
+//   Properties 1-3 also hold for the order runs: the first configuration
+//   whose plan passes PlanAcceptsAnyOrder (plan.h) is built once and
+//   executed under RI's order and under one random connected order seeded
+//   from the case (outcomes "<config>/order-ri", "<config>/order-random"),
+//   so a count or embedding set that depends on the matching order shows.
 //   4. Dynamic replay (cases carrying an update stream, the `upd=`
 //      dimension): the query's embedding set, maintained incrementally by
 //      the continuous matcher across every batch, must equal a cold

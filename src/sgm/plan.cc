@@ -109,19 +109,33 @@ std::unique_ptr<MatchPlan> BuildMatchPlan(const Graph& query,
   return plan_ptr;
 }
 
+bool PlanAcceptsAnyOrder(const MatchPlan& plan) {
+  return !plan.options.adaptive_order &&
+         !(plan.options.lc_method == LocalCandidateMethod::kPivotIndex &&
+           plan.options.aux_scope == AuxEdgeScope::kTreeEdges);
+}
+
 MatchResult ExecutePlan(const Graph& query, const Graph& data,
                         const MatchPlan& plan, const MatchOptions& run_options,
                         const MatchCallback& callback,
-                        bool include_build_metrics) {
+                        bool include_build_metrics,
+                        std::span<const Vertex> order) {
   MatchResult result;
   Timer total_timer;
+  if (order.empty()) {
+    order = plan.matching_order;
+  } else {
+    SGM_CHECK_MSG(PlanAcceptsAnyOrder(plan) &&
+                      IsValidMatchingOrder(query, order),
+                  "a run order must be a connected order the plan accepts");
+  }
 
   // Structural facts of the plan are part of every result built from it.
   result.average_candidates = plan.average_candidates;
   result.candidate_memory_bytes = plan.candidate_memory_bytes;
   result.aux_memory_bytes = plan.aux_memory_bytes;
   result.filter_rounds = plan.filter_rounds;
-  result.matching_order = plan.matching_order;
+  result.matching_order.assign(order.begin(), order.end());
   if (include_build_metrics) {
     result.filter_ms = plan.filter_ms;
     result.aux_build_ms = plan.aux_build_ms;
@@ -161,8 +175,7 @@ MatchResult ExecutePlan(const Graph& query, const Graph& data,
   if (run_options.debug_skip_last_root_candidate) {
     // Emulated off-by-one: enumerate roots [0, count-1) instead of
     // [0, count). See MatchOptions::debug_skip_last_root_candidate.
-    const uint32_t root_count =
-        plan.candidates.Count(plan.matching_order[0]);
+    const uint32_t root_count = plan.candidates.Count(order[0]);
     enumerate_options.root_slice_end = root_count > 0 ? root_count - 1 : 0;
   }
 
@@ -170,7 +183,7 @@ MatchResult ExecutePlan(const Graph& query, const Graph& data,
     obs::TraceSpan span(trace, obs::kPhaseEnumeration, "phase");
     result.enumerate =
         Enumerate(query, data, plan.candidates,
-                  plan.has_aux ? &plan.aux : nullptr, plan.matching_order,
+                  plan.has_aux ? &plan.aux : nullptr, order,
                   enumerate_options,
                   plan.options.adaptive_order ? &plan.weights : nullptr,
                   callback);

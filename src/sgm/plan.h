@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sgm/core/order/dpiso_order.h"
@@ -82,6 +83,14 @@ std::unique_ptr<MatchPlan> BuildMatchPlan(const Graph& query,
                                           const Graph& data,
                                           const MatchOptions& options);
 
+/// True when ExecutePlan may run `plan` under any connected matching order
+/// of its query, not only plan.matching_order. Two kinds of plan are tied
+/// to their built order: adaptive-order plans, whose DP-iso weights were
+/// computed for it, and kPivotIndex plans over a tree-edge aux, where
+/// another order can leave a vertex without an indexed backward edge (the
+/// enumerator rejects that).
+bool PlanAcceptsAnyOrder(const MatchPlan& plan);
+
 /// Runs the enumeration phase of a prebuilt plan. `query` and `data` must
 /// be the graphs the plan was built from; `run_options` must agree with
 /// plan.options on the structural fields and supplies the per-run knobs
@@ -91,10 +100,18 @@ std::unique_ptr<MatchPlan> BuildMatchPlan(const Graph& query,
 /// carries the plan's preprocessing times, so MatchQuery semantics are
 /// preserved; a plan-cache hit passes false and reports zero preprocessing
 /// time — the run did none.
+///
+/// `order` is this run's matching order; empty means plan.matching_order.
+/// A non-empty order must be a connected matching order of `query`, and the
+/// plan must pass PlanAcceptsAnyOrder. The plan itself is never modified:
+/// the order drives the enumeration and is reported in
+/// MatchResult::matching_order. Counts do not depend on the order, but
+/// under max_matches the delivered embeddings may.
 MatchResult ExecutePlan(const Graph& query, const Graph& data,
                         const MatchPlan& plan, const MatchOptions& run_options,
                         const MatchCallback& callback = {},
-                        bool include_build_metrics = true);
+                        bool include_build_metrics = true,
+                        std::span<const Vertex> order = {});
 
 // ---------------------------------------------------------------------------
 // Sharded execution (DESIGN.md §13): the data graph is split into K vertex

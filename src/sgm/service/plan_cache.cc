@@ -18,6 +18,13 @@ void AppendNumber(std::string* out, uint64_t value) {
   while (length > 0) out->push_back(buffer[--length]);
 }
 
+// One cache entry's allocation: the plan and its race record share it, so
+// a request holding the plan also keeps the record alive after eviction.
+struct PlanSlot {
+  std::unique_ptr<const MatchPlan> plan;
+  OrderRace race;
+};
+
 }  // namespace
 
 PlanCache::PlanCache(const PlanCacheOptions& options) : options_(options) {}
@@ -77,7 +84,8 @@ std::string PlanCache::EncodeOptions(const MatchOptions& options) {
   return key;
 }
 
-std::shared_ptr<const MatchPlan> PlanCache::Lookup(const std::string& key) {
+std::shared_ptr<const MatchPlan> PlanCache::Lookup(const std::string& key,
+                                                   OrderRace** race) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -86,13 +94,18 @@ std::shared_ptr<const MatchPlan> PlanCache::Lookup(const std::string& key) {
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);
+  if (race != nullptr) *race = it->second->race;
   return it->second->plan;
 }
 
 std::shared_ptr<const MatchPlan> PlanCache::Insert(
-    const std::string& key, std::unique_ptr<MatchPlan> plan) {
-  std::shared_ptr<const MatchPlan> shared(std::move(plan));
-  const size_t bytes = shared->MemoryBytes();
+    const std::string& key, std::unique_ptr<MatchPlan> plan,
+    OrderRace** race) {
+  auto slot = std::make_shared<PlanSlot>();
+  slot->plan = std::move(plan);
+  std::shared_ptr<const MatchPlan> shared(slot, slot->plan.get());
+  const size_t bytes = shared->MemoryBytes() + sizeof(OrderRace);
+  if (race != nullptr) *race = nullptr;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -100,17 +113,33 @@ std::shared_ptr<const MatchPlan> PlanCache::Insert(
     // building. Keep the incumbent (equivalent by construction) so every
     // concurrent caller converges on one shared plan.
     lru_.splice(lru_.begin(), lru_, it->second);
+    if (race != nullptr) *race = it->second->race;
     return it->second->plan;
   }
   if (bytes > options_.memory_budget_bytes) {
     ++rejected_;
     return shared;  // usable by the caller, just not retained
   }
-  lru_.push_front(Entry{key, shared, bytes});
+  lru_.push_front(Entry{key, shared, &slot->race, bytes});
   index_.emplace(key, lru_.begin());
   memory_bytes_ += bytes;
+  if (race != nullptr) *race = &slot->race;
   EvictToFitLocked();
   return shared;
+}
+
+void PlanCache::PublishWinningOrder(const std::string& key, OrderRace* race,
+                                    std::vector<Vertex> order) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  race->winning_order = std::move(order);
+  auto it = index_.find(key);
+  if (it != index_.end() && it->second->race == race) {
+    const size_t bytes = race->winning_order.capacity() * sizeof(Vertex);
+    it->second->bytes += bytes;
+    memory_bytes_ += bytes;
+    EvictToFitLocked();
+  }
+  race->state.store(OrderRace::kWon, std::memory_order_release);
 }
 
 void PlanCache::EvictToFitLocked() {

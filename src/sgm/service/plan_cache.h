@@ -12,18 +12,21 @@
 // collision can never surface a wrong plan.
 //
 // Eviction is LRU under a caller-configured memory budget, accounted with
-// MatchPlan::MemoryBytes(). All operations are thread-safe; returned plans
-// are shared_ptr<const MatchPlan>, so an evicted plan stays alive for
-// requests still executing it.
+// MatchPlan::MemoryBytes() plus the entry's OrderRace record. All
+// operations are thread-safe; returned plans are shared_ptr<const
+// MatchPlan>, so an evicted plan stays alive for requests still executing
+// it.
 #ifndef SGM_SERVICE_PLAN_CACHE_H_
 #define SGM_SERVICE_PLAN_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sgm/plan.h"
 
@@ -53,6 +56,29 @@ struct PlanCacheStats {
     const uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
+};
+
+/// The order race of one cache entry, kept beside its immutable plan
+/// (DESIGN.md §11). MatchService races RI's matching order once against
+/// the plan's built order when the entry's enumeration is slow, and every
+/// later hit runs the winner.
+struct OrderRace {
+  enum State : uint8_t {
+    kUnraced = 0,
+    /// Claimed by one request (one compare-exchange from kUnraced).
+    kRacing = 1,
+    /// The built order stays: the challenger lost or equalled it.
+    kKept = 2,
+    /// `winning_order` holds the challenger; published with a release
+    /// store of this state, so read it only after an acquire load.
+    kWon = 3,
+  };
+  /// Enumeration time of the plan's built order, written by the miss that
+  /// built the plan. 0 until then.
+  std::atomic<double> incumbent_ms{0.0};
+  std::atomic<uint8_t> state{kUnraced};
+  /// Written once, by PlanCache::PublishWinningOrder.
+  std::vector<Vertex> winning_order;
 };
 
 /// Thread-safe LRU cache of built MatchPlans under a memory budget.
@@ -88,16 +114,29 @@ class PlanCache {
   }
 
   /// Returns the cached plan and promotes it to most-recently-used, or null
-  /// on a miss. Counts a hit or a miss.
-  std::shared_ptr<const MatchPlan> Lookup(const std::string& key);
+  /// on a miss. Counts a hit or a miss. On a hit, a non-null `race`
+  /// receives the entry's race record, which lives as long as the returned
+  /// plan pointer (they share one allocation).
+  std::shared_ptr<const MatchPlan> Lookup(const std::string& key,
+                                          OrderRace** race = nullptr);
 
   /// Inserts a freshly built plan and returns it as a shared pointer. If
   /// another thread inserted the same key first, the incumbent wins and is
   /// returned (both plans are equivalent by construction). Evicts LRU
   /// entries as needed; a plan bigger than the whole budget is returned
-  /// uncached. Does not count a hit or a miss.
+  /// uncached. Does not count a hit or a miss. A non-null `race` receives
+  /// the returned entry's race record, as Lookup, or null when the plan
+  /// was not retained.
   std::shared_ptr<const MatchPlan> Insert(const std::string& key,
-                                          std::unique_ptr<MatchPlan> plan);
+                                          std::unique_ptr<MatchPlan> plan,
+                                          OrderRace** race = nullptr);
+
+  /// Stores `order` as the winning order of `race` (the record of the
+  /// entry under `key`), publishes it with OrderRace::kWon and charges its
+  /// bytes to that entry while the entry is still cached. Called once per
+  /// record, by the request that claimed its race.
+  void PublishWinningOrder(const std::string& key, OrderRace* race,
+                           std::vector<Vertex> order);
 
   /// Drops every entry (in-flight executions keep their shared_ptrs alive).
   void Clear();
@@ -109,7 +148,9 @@ class PlanCache {
  private:
   struct Entry {
     std::string key;
+    /// Aliases the allocation that also holds *race.
     std::shared_ptr<const MatchPlan> plan;
+    OrderRace* race = nullptr;
     size_t bytes = 0;
   };
 

@@ -2,13 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
+#include "sgm/core/order/order.h"
 #include "sgm/graph/graph_utils.h"
 #include "sgm/plan.h"
 #include "sgm/util/timer.h"
 
 namespace sgm::service {
+
+namespace {
+
+// A cache hit races RI's order against the plan's built order only when the
+// built order enumerated for at least this long, so cheap hits keep their
+// old path: single-threaded over the seed-42 bench/e2e pools on a shared
+// 4-core Xeon VM, only 3 of the 2000 build-heavy/update-mix plans enumerate
+// for 1 ms or more (a typical hit there takes about 30 us), against 20 of
+// the 24 enum-heavy plans, at up to 120 ms.
+constexpr double kOrderRaceThresholdMs = 1.0;
+
+// The tighter of two time budgets in milliseconds, where 0 (or less) means
+// unlimited — the convention of MatchOptions::time_limit_ms.
+double TighterLimitMs(double a_ms, double b_ms) {
+  if (a_ms <= 0.0) return b_ms;
+  if (b_ms <= 0.0) return a_ms;
+  return std::min(a_ms, b_ms);
+}
+
+}  // namespace
 
 const char* RequestStatusName(RequestStatus status) {
   switch (status) {
@@ -115,6 +137,16 @@ MatchService::MatchService(Graph data, const ServiceOptions& options)
   instruments_.request_ms = reg.GetHistogram(
       "sgm_service_request_ms",
       "Total time from Submit() to the terminal status (queue + execute).");
+  const char* kRacesHelp =
+      "Order races on slow cached plans: RI's order against the built "
+      "order, by outcome.";
+  instruments_.order_races_won = reg.GetCounter(
+      "sgm_service_order_races_total", kRacesHelp, {{"outcome", "won"}});
+  instruments_.order_races_lost = reg.GetCounter(
+      "sgm_service_order_races_total", kRacesHelp, {{"outcome", "lost"}});
+  instruments_.order_race_lost_ms = reg.GetCounter(
+      "sgm_service_order_race_lost_ms_total",
+      "Whole milliseconds spent on challengers that lost their race.");
   instruments_.worker_busy_us.reserve(workers);
   for (uint32_t w = 0; w < workers; ++w) {
     instruments_.worker_busy_us.push_back(reg.GetCounter(
@@ -351,7 +383,7 @@ MatchResponse MatchService::Run(const MatchRequest& request, double queue_ms,
   options.cancel_flag = cancel_token;
   if (deadline_ms > 0.0) {
     options.time_limit_ms =
-        std::min(options.time_limit_ms, deadline_ms - queue_ms);
+        TighterLimitMs(options.time_limit_ms, deadline_ms - queue_ms);
   }
 
   MatchCallback sharded_callback;
@@ -383,17 +415,19 @@ MatchResponse MatchService::Run(const MatchRequest& request, double queue_ms,
   // computed from the effective options, whose run-only knobs the encoding
   // ignores.
   std::shared_ptr<const MatchPlan> plan;
+  OrderRace* race = nullptr;
   const bool cache_enabled = plan_cache_.memory_budget_bytes() > 0;
   std::string key;
   if (cache_enabled) {
     key = PlanCache::MakeKey(request.query, options, view.epoch);
-    plan = plan_cache_.Lookup(key);
+    plan = plan_cache_.Lookup(key, &race);
     response.plan_cache_hit = plan != nullptr;
   }
   if (plan == nullptr) {
     auto built = BuildMatchPlan(request.query, data, options);
-    plan = cache_enabled ? plan_cache_.Insert(key, std::move(built))
-                         : std::shared_ptr<const MatchPlan>(std::move(built));
+    plan = cache_enabled
+               ? plan_cache_.Insert(key, std::move(built), &race)
+               : std::shared_ptr<const MatchPlan>(std::move(built));
   }
 
   MatchCallback callback;
@@ -404,17 +438,97 @@ MatchResponse MatchService::Run(const MatchRequest& request, double queue_ms,
     };
   }
 
-  // A cache hit did no preprocessing, so its result reports none.
-  response.engine =
-      ExecutePlan(request.query, data, *plan, options, callback,
-                  /*include_build_metrics=*/!response.plan_cache_hit);
+  const bool slow_hit =
+      response.plan_cache_hit &&
+      race->incumbent_ms.load(std::memory_order_relaxed) >=
+          kOrderRaceThresholdMs;
+  if (slow_hit) {
+    response.engine = ExecuteSlowHit(request.query, data, *plan, key, race,
+                                     options, callback, &response.embeddings);
+  } else {
+    // A cache hit did no preprocessing, so its result reports none.
+    response.engine =
+        ExecutePlan(request.query, data, *plan, options, callback,
+                    /*include_build_metrics=*/!response.plan_cache_hit);
+  }
 
   if (cancel_token->load(std::memory_order_relaxed)) {
     response.status = RequestStatus::kCancelled;
   } else if (response.engine.enumerate.timed_out) {
     response.status = RequestStatus::kTimedOut;
   }
+  if (!response.plan_cache_hit && race != nullptr &&
+      response.status != RequestStatus::kCancelled &&
+      PlanAcceptsAnyOrder(*plan)) {
+    // The miss that built the plan times its order; later hits race it.
+    race->incumbent_ms.store(response.engine.enumeration_ms,
+                             std::memory_order_relaxed);
+  }
   return response;
+}
+
+MatchResult MatchService::ExecuteSlowHit(
+    const Graph& query, const Graph& data, const MatchPlan& plan,
+    const std::string& key, OrderRace* race, MatchOptions options,
+    const MatchCallback& callback,
+    std::vector<std::vector<Vertex>>* embeddings) {
+  if (race->state.load(std::memory_order_acquire) == OrderRace::kWon) {
+    return ExecutePlan(query, data, plan, options, callback,
+                       /*include_build_metrics=*/false, race->winning_order);
+  }
+  const double incumbent_ms =
+      race->incumbent_ms.load(std::memory_order_relaxed);
+  // The request's budget: its time limit folded with the deadline left
+  // after queueing (TighterLimitMs in Run), 0 = unlimited. A lost race runs
+  // the challenger for the incumbent's time and then the incumbent, so race
+  // only when the budget covers both.
+  const double budget_ms = options.time_limit_ms;
+  const bool affordable = budget_ms <= 0.0 || budget_ms >= 2.0 * incumbent_ms;
+  uint8_t unraced = OrderRace::kUnraced;
+  if (!affordable ||
+      !race->state.compare_exchange_strong(unraced, OrderRace::kRacing,
+                                           std::memory_order_relaxed)) {
+    return ExecutePlan(query, data, plan, options, callback,
+                       /*include_build_metrics=*/false);
+  }
+
+  std::vector<Vertex> challenger = RiOrder(query);
+  if (challenger == plan.matching_order) {
+    race->state.store(OrderRace::kKept, std::memory_order_relaxed);
+    return ExecutePlan(query, data, plan, options, callback,
+                       /*include_build_metrics=*/false);
+  }
+  MatchOptions challenger_options = options;
+  challenger_options.time_limit_ms = incumbent_ms;
+  Timer challenger_timer;
+  MatchResult result =
+      ExecutePlan(query, data, plan, challenger_options, callback,
+                  /*include_build_metrics=*/false, challenger);
+  const double spent_ms = challenger_timer.ElapsedMillis();
+  if (options.cancel_flag->load(std::memory_order_relaxed)) {
+    // Stopped by cancellation, not by its limit: the race decided nothing.
+    race->state.store(OrderRace::kUnraced, std::memory_order_relaxed);
+    return result;
+  }
+  if (!result.enumerate.timed_out) {
+    plan_cache_.PublishWinningOrder(key, race, std::move(challenger));
+    instruments_.order_races_won->Increment();
+    return result;
+  }
+
+  race->state.store(OrderRace::kKept, std::memory_order_relaxed);
+  instruments_.order_races_lost->Increment();
+  instruments_.order_race_lost_ms->Increment(
+      static_cast<uint64_t>(std::llround(spent_ms)));
+  embeddings->clear();
+  if (budget_ms > 0.0) {
+    // The smallest positive limit stops an exhausted run at its first
+    // check; a limit of 0 would mean unlimited.
+    options.time_limit_ms = std::max(budget_ms - spent_ms,
+                                     std::numeric_limits<double>::min());
+  }
+  return ExecutePlan(query, data, plan, options, callback,
+                     /*include_build_metrics=*/false);
 }
 
 MatchService::GraphView MatchService::CurrentView() const {

@@ -10,7 +10,8 @@
 //             └─ plan cache: exact-key lookup → hit: reuse plan
 //                                             → miss: BuildMatchPlan + insert
 //                 └─ ExecutePlan (serial engine, per-request cancel flag,
-//                    remaining-deadline time limit)
+//                    remaining-deadline time limit; a slow hit races RI's
+//                    order once per entry, DESIGN.md §11)
 //                     └─ MatchResponse through the Submit() future
 //
 // Concurrency model: the service owns `worker_count` threads; each request
@@ -314,6 +315,11 @@ class MatchService {
     obs::Histogram* queue_ms = nullptr;
     obs::Histogram* execute_ms = nullptr;
     obs::Histogram* request_ms = nullptr;
+    /// sgm_service_order_races_total{outcome=...} and the challenger time
+    /// lost races cost.
+    obs::Counter* order_races_won = nullptr;
+    obs::Counter* order_races_lost = nullptr;
+    obs::Counter* order_race_lost_ms = nullptr;
     /// sgm_service_worker_busy_us_total{worker="i"}, one per worker.
     std::vector<obs::Counter*> worker_busy_us;
   };
@@ -331,6 +337,18 @@ class MatchService {
   MatchResponse Run(const MatchRequest& request, double queue_ms,
                     const std::atomic<bool>* cancel_token,
                     const GraphView& view);
+  /// Executes a plan-cache hit whose built order enumerated for at least
+  /// the race threshold (service.cc). Runs the entry's winning order once
+  /// a race has published one. Otherwise claims the entry's race, at most
+  /// once, when `options.time_limit_ms` covers twice the incumbent's time:
+  /// RI's order runs with the incumbent's time as its limit and answers
+  /// the request if it finishes; if it times out, its embeddings are
+  /// dropped and the built order runs on the rest of the budget.
+  MatchResult ExecuteSlowHit(const Graph& query, const Graph& data,
+                             const MatchPlan& plan, const std::string& key,
+                             OrderRace* race, MatchOptions options,
+                             const MatchCallback& callback,
+                             std::vector<std::vector<Vertex>>* embeddings);
   /// Pins the published snapshot: a pointer copy under snapshot_mutex_,
   /// never graph_mutex_, so a request never waits on a writer.
   GraphView CurrentView() const;

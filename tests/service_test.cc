@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "sgm/core/order/order.h"
 #include "sgm/fuzz/oracle.h"
 #include "sgm/fuzz/reproducer.h"
 #include "sgm/graph/generators.h"
@@ -191,6 +192,33 @@ TEST(PlanCacheTest, OversizedPlanIsReturnedButNotRetained) {
   EXPECT_EQ(cache.Lookup(key), nullptr);
 }
 
+TEST(PlanCacheTest, WinningOrderBytesAreChargedToItsEntry) {
+  const Graph data = PaperData();
+  const Graph query = PaperQuery();
+  const MatchOptions options;
+  service::PlanCache cache;
+  const std::string key = service::PlanCache::MakeKey(query, options);
+  auto plan = BuildMatchPlan(query, data, options);
+  const size_t plan_bytes = plan->MemoryBytes();
+  service::OrderRace* race = nullptr;
+  const auto shared = cache.Insert(key, std::move(plan), &race);
+  ASSERT_NE(race, nullptr);
+  // The race record rides in the entry's charge from the start.
+  EXPECT_EQ(cache.Stats().memory_bytes,
+            plan_bytes + sizeof(service::OrderRace));
+  service::OrderRace* looked_up = nullptr;
+  EXPECT_EQ(cache.Lookup(key, &looked_up), shared);
+  EXPECT_EQ(looked_up, race);
+
+  const std::vector<Vertex> order = RiOrder(query);
+  cache.PublishWinningOrder(key, race, order);
+  EXPECT_EQ(race->state.load(), service::OrderRace::kWon);
+  EXPECT_EQ(race->winning_order, order);
+  EXPECT_EQ(cache.Stats().memory_bytes,
+            plan_bytes + sizeof(service::OrderRace) +
+                race->winning_order.capacity() * sizeof(Vertex));
+}
+
 // ------------------------------------------------------------ MatchService
 
 TEST(MatchServiceTest, ServesThePaperExample) {
@@ -327,6 +355,32 @@ TEST(MatchServiceTest, ExpiredDeadlineInQueueTimesOutWithoutRunning) {
   EXPECT_EQ(doomed_response.engine.enumerate.recursion_calls, 0u);
   blocker_future.get();
   EXPECT_GE(service.Stats().timed_out, 1u);
+}
+
+TEST(MatchServiceTest, DeadlineBoundsARequestWithoutTimeLimit) {
+  service::ServiceOptions options;
+  options.worker_count = 1;
+  service::MatchService service(CompleteGraph(32), options);
+
+  // time_limit_ms = 0 means no enumeration limit; the deadline alone must
+  // stop the request. The watchdog cancels it after 2 s, so a service that
+  // ignores the deadline fails this test (kCancelled) instead of hanging.
+  auto token = std::make_shared<std::atomic<bool>>(false);
+  service::MatchRequest request = BlockerRequest(token);
+  request.options.time_limit_ms = 0.0;
+  request.deadline_ms = 20.0;
+  auto future = service.Submit(std::move(request));
+  if (future.wait_for(std::chrono::seconds(2)) !=
+      std::future_status::ready) {
+    token->store(true);
+  }
+  const service::MatchResponse response = future.get();
+  EXPECT_EQ(response.status, service::RequestStatus::kTimedOut);
+  // The engine reads the clock every 1024 recursion calls. Over 200 runs
+  // on a 4-core VM the overshoot past the deadline was 0.14 ms at the
+  // median and 1.2 ms at most; the slack here covers sanitizer builds and
+  // loaded CI machines.
+  EXPECT_LT(response.service_ms, 20.0 + 250.0);
 }
 
 TEST(MatchServiceTest, CancellationAbortsARequest) {
@@ -673,6 +727,210 @@ TEST(MatchServiceTest, AdmissionRejectAndDeadlineExpiryAreCounted) {
   EXPECT_EQ(
       CounterValue(snapshot, "sgm_service_deadline_expired_in_queue_total"),
       1u);
+}
+
+// ------------------------------------------------------------ Order races
+
+// A dense 16-vertex query on an RMAT graph shaped like bench/e2e
+// enum-heavy (|Sigma| = 5, |E|/|V| = 3.3), both drawn from `seed`.
+struct RaceCase {
+  Graph data;
+  Graph query;
+};
+
+RaceCase MakeRaceCase(uint64_t seed) {
+  Prng prng(seed);
+  RaceCase race_case;
+  race_case.data = GenerateRmat(16000, 53000, 5, &prng);
+  race_case.query =
+      *ExtractQuery(race_case.data, 16, QueryDensity::kDense, &prng);
+  return race_case;
+}
+
+// Seed 120: under Recommended options GraphQL's order takes 242718
+// recursion calls (about 45 ms on a 4-core VM), RI's 4209 (about 1 ms).
+RaceCase RiWinsCase() { return MakeRaceCase(120); }
+// Seed 58, the mirror: GraphQL's order 31584 calls (about 3.5 ms), RI's
+// 225061 (about 36 ms).
+RaceCase RiLosesCase() { return MakeRaceCase(58); }
+
+service::MatchRequest RaceRequest(const Graph& query) {
+  service::MatchRequest request;
+  request.query = query;
+  request.options = MatchOptions::Recommended(query.vertex_count());
+  return request;
+}
+
+struct RaceCounts {
+  uint64_t won = 0;
+  uint64_t lost = 0;
+};
+
+RaceCounts OrderRaces(const obs::MetricsRegistry& registry) {
+  const obs::Json snapshot = registry.ToJson();
+  return {CounterValue(snapshot, "sgm_service_order_races_total", "outcome",
+                       "won"),
+          CounterValue(snapshot, "sgm_service_order_races_total", "outcome",
+                       "lost")};
+}
+
+service::ServiceOptions RaceServiceOptions(obs::MetricsRegistry* registry,
+                                           uint32_t workers = 1) {
+  service::ServiceOptions options;
+  options.worker_count = workers;
+  options.metrics = registry;
+  return options;
+}
+
+TEST(MatchServiceTest, OrderRaceWinnerServesLaterHits) {
+  const RaceCase race_case = RiWinsCase();
+  obs::MetricsRegistry registry;
+  service::MatchService service(race_case.data,
+                                RaceServiceOptions(&registry));
+  const service::MatchResponse miss =
+      service.Match(RaceRequest(race_case.query));
+  ASSERT_EQ(miss.status, service::RequestStatus::kOk);
+  ASSERT_FALSE(miss.plan_cache_hit);
+  const std::vector<Vertex> ri = RiOrder(race_case.query);
+  ASSERT_NE(miss.engine.matching_order, ri);
+
+  // The first hit races and wins; it and every later hit run RI's order.
+  for (int hit = 0; hit < 3; ++hit) {
+    const service::MatchResponse response =
+        service.Match(RaceRequest(race_case.query));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_TRUE(response.plan_cache_hit);
+    EXPECT_EQ(response.engine.match_count, miss.engine.match_count);
+    EXPECT_EQ(response.engine.matching_order, ri) << "hit " << hit;
+    EXPECT_GE(miss.engine.enumerate.recursion_calls,
+              5 * response.engine.enumerate.recursion_calls);
+  }
+  const RaceCounts races = OrderRaces(registry);
+  EXPECT_EQ(races.won, 1u);
+  EXPECT_EQ(races.lost, 0u);
+  EXPECT_EQ(CounterValue(registry.ToJson(),
+                         "sgm_service_order_race_lost_ms_total"),
+            0u);
+}
+
+TEST(MatchServiceTest, OrderRaceLoserKeepsTheBuiltOrder) {
+  const RaceCase race_case = RiLosesCase();
+  obs::MetricsRegistry registry;
+  service::MatchService service(race_case.data,
+                                RaceServiceOptions(&registry));
+  const service::MatchResponse miss =
+      service.Match(RaceRequest(race_case.query));
+  ASSERT_EQ(miss.status, service::RequestStatus::kOk);
+  ASSERT_NE(miss.engine.matching_order, RiOrder(race_case.query));
+
+  for (int hit = 0; hit < 4; ++hit) {
+    service::MatchRequest request = RaceRequest(race_case.query);
+    request.collect_embeddings = true;
+    const service::MatchResponse response = service.Match(std::move(request));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_EQ(response.engine.match_count, miss.engine.match_count);
+    EXPECT_EQ(response.engine.matching_order, miss.engine.matching_order);
+    // The lost challenger's partial embeddings were dropped.
+    EXPECT_EQ(response.embeddings.size(), response.engine.match_count);
+  }
+  // One race, on the first hit; later hits never race again.
+  const RaceCounts races = OrderRaces(registry);
+  EXPECT_EQ(races.won, 0u);
+  EXPECT_EQ(races.lost, 1u);
+}
+
+TEST(MatchServiceTest, FastPlansNeverRace) {
+  obs::MetricsRegistry registry;
+  service::MatchService service(PaperData(), RaceServiceOptions(&registry));
+  const service::MatchResponse miss = service.Match(PaperRequest());
+  for (int hit = 0; hit < 3; ++hit) {
+    const service::MatchResponse response = service.Match(PaperRequest());
+    EXPECT_TRUE(response.plan_cache_hit);
+    EXPECT_EQ(response.engine.matching_order, miss.engine.matching_order);
+  }
+  const RaceCounts races = OrderRaces(registry);
+  EXPECT_EQ(races.won + races.lost, 0u);
+}
+
+TEST(MatchServiceTest, ConcurrentHitsStartOneOrderRace) {
+  const RaceCase race_case = RiWinsCase();
+  obs::MetricsRegistry registry;
+  service::MatchService service(race_case.data,
+                                RaceServiceOptions(&registry, 4));
+  const service::MatchResponse miss =
+      service.Match(RaceRequest(race_case.query));
+  ASSERT_EQ(miss.status, service::RequestStatus::kOk);
+
+  std::vector<std::future<service::MatchResponse>> hits;
+  for (int i = 0; i < 8; ++i) {
+    hits.push_back(service.Submit(RaceRequest(race_case.query)));
+  }
+  for (auto& future : hits) {
+    const service::MatchResponse response = future.get();
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_TRUE(response.plan_cache_hit);
+    EXPECT_EQ(response.engine.match_count, miss.engine.match_count);
+  }
+  const RaceCounts races = OrderRaces(registry);
+  EXPECT_EQ(races.won + races.lost, 1u);
+}
+
+TEST(MatchServiceTest, ShortDeadlineSkipsTheOrderRace) {
+  const RaceCase race_case = RiWinsCase();
+  obs::MetricsRegistry registry;
+  service::MatchService service(race_case.data,
+                                RaceServiceOptions(&registry));
+  const service::MatchResponse miss =
+      service.Match(RaceRequest(race_case.query));
+  ASSERT_EQ(miss.status, service::RequestStatus::kOk);
+
+  // A deadline under twice the incumbent's time cannot pay for a lost
+  // race: the hit runs the built order and leaves the entry unraced.
+  service::MatchRequest hurried = RaceRequest(race_case.query);
+  hurried.deadline_ms = 1.5 * miss.engine.enumeration_ms;
+  const service::MatchResponse short_hit = service.Match(std::move(hurried));
+  EXPECT_TRUE(short_hit.plan_cache_hit);
+  EXPECT_EQ(short_hit.engine.matching_order, miss.engine.matching_order);
+  RaceCounts races = OrderRaces(registry);
+  EXPECT_EQ(races.won + races.lost, 0u);
+
+  // An unhurried hit still gets the race.
+  const service::MatchResponse hit =
+      service.Match(RaceRequest(race_case.query));
+  EXPECT_EQ(hit.engine.match_count, miss.engine.match_count);
+  races = OrderRaces(registry);
+  EXPECT_EQ(races.won + races.lost, 1u);
+}
+
+TEST(MatchServiceTest, OrderBoundPlansNeverRace) {
+  // Classic CFL (pivot-index local candidates over a tree-edge aux) and
+  // DP-iso's adaptive order are tied to their built orders. On this case
+  // Classic CFL enumerates for about 8.5 ms, over the race threshold.
+  const RaceCase race_case = RiLosesCase();
+  for (const MatchOptions& options :
+       {MatchOptions::Classic(Algorithm::kCFL),
+        MatchOptions::Optimized(Algorithm::kDPiso)}) {
+    obs::MetricsRegistry registry;
+    service::MatchService service(race_case.data,
+                                  RaceServiceOptions(&registry));
+    service::MatchRequest first;
+    first.query = race_case.query;
+    first.options = options;
+    const service::MatchResponse miss = service.Match(std::move(first));
+    ASSERT_EQ(miss.status, service::RequestStatus::kOk);
+    for (int hit = 0; hit < 3; ++hit) {
+      service::MatchRequest request;
+      request.query = race_case.query;
+      request.options = options;
+      const service::MatchResponse response =
+          service.Match(std::move(request));
+      EXPECT_TRUE(response.plan_cache_hit);
+      EXPECT_EQ(response.engine.match_count, miss.engine.match_count);
+      EXPECT_EQ(response.engine.matching_order, miss.engine.matching_order);
+    }
+    const RaceCounts races = OrderRaces(registry);
+    EXPECT_EQ(races.won + races.lost, 0u);
+  }
 }
 
 // ---------------------------------------------------------- Slow-query log
